@@ -73,39 +73,77 @@ def _f9_sci(x) -> str:
     return np.format_float_scientific(float(x), precision=8, unique=False)
 
 
-def _json_text(value, indent: int = 0) -> str:
-    """Serialise to JSON with floats at 17 significant digits.
+# Entries per piece when a 1-D array is streamed: only one piece's list and
+# strings are alive at a time, not a string for every entry of the array.
+_ARRAY_CHUNK = 4096
+
+
+def _format_each(values):
+    """Return an iterator over the text of each entry of a 1-D numeric array.
+
+    Floats get 17 significant digits and integers their decimal digits,
+    the same text ``_f17`` and ``str(int(x))`` give one scalar at a time.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return map(str, values.tolist())
+    return map("{:.17g}".format, values.astype(np.float64, copy=False).tolist())
+
+
+def _json_pieces(value, indent: int = 0):
+    """Yield the JSON text of ``value`` piece by piece.
 
     The stdlib encoder offers no control over float formatting, so this
-    walks the (plain dict/list/scalar) document itself.  Lists are kept on
-    one line; mappings are indented.
+    walks the (dict/list/array/scalar) document itself.  Arrays and lists
+    stay on one line with ", " between items; mappings are indented by two
+    spaces per level.  A 1-D numeric array is formatted ``_ARRAY_CHUNK``
+    entries at a time.
     """
     pad = " " * indent
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        rows = ",\n".join(
-            f"{pad}  {json.dumps(str(key))}: {_json_text(item, indent + 2)}"
-            for key, item in value.items()
-        )
-        return "{\n" + rows + "\n" + pad + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        items = ", ".join(_json_text(item, indent) for item in value)
-        return "[" + items + "]"
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _f17(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialise {type(value).__name__}")
+            yield "{}"
+            return
+        for position, (key, item) in enumerate(value.items()):
+            yield ",\n" if position else "{\n"
+            yield f"{pad}  {json.dumps(str(key))}: "
+            yield from _json_pieces(item, indent + 2)
+        yield "\n" + pad + "}"
+    elif (
+        isinstance(value, np.ndarray)
+        and value.ndim == 1
+        and value.dtype.kind in "iuf"
+    ):
+        yield "["
+        for start in range(0, value.size, _ARRAY_CHUNK):
+            if start:
+                yield ", "
+            yield ", ".join(_format_each(value[start:start + _ARRAY_CHUNK]))
+        yield "]"
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        yield "["
+        for position, item in enumerate(value):
+            if position:
+                yield ", "
+            yield from _json_pieces(item, indent)
+        yield "]"
+    elif isinstance(value, bool) or value is None:
+        yield json.dumps(value)
+    elif isinstance(value, (int, np.integer)):
+        yield str(int(value))
+    elif isinstance(value, (float, np.floating)):
+        yield _f17(value)
+    elif isinstance(value, str):
+        yield json.dumps(value)
+    else:
+        raise TypeError(f"cannot serialise {type(value).__name__}")
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_json_text(payload) + "\n")
+    with path.open("w") as out:
+        out.writelines(_json_pieces(payload))
+        out.write("\n")
 
 
 def read_losses(path) -> np.ndarray:
@@ -124,21 +162,34 @@ def read_losses(path) -> np.ndarray:
             raise InputDataError(f"losses file {path}: invalid JSON: {exc}") from exc
         if not isinstance(values, list):
             raise InputDataError(f"losses file {path}: expected a JSON array")
+        # One pass over the types, not a check per element; bool is its own
+        # type, so true/false are rejected along with strings and null.
+        if not set(map(type, values)) <= {int, float}:
+            index, bad = next(
+                (i, v) for i, v in enumerate(values) if type(v) not in (int, float)
+            )
+            raise InputDataError(
+                f"losses file {path}: element {index} is not a number: "
+                f"{json.dumps(bad)}"
+            )
     else:
         values = []
-        lines = [line.strip() for line in stripped.splitlines() if line.strip()]
-        for lineno, line in enumerate(lines, start=1):
+        header_allowed = True  # the first non-blank line may be a header
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if not line:
+                continue
             try:
                 values.append(float(line))
             except ValueError:
-                if lineno == 1:
-                    continue  # optional header
-                raise InputDataError(
-                    f"losses file {path}, line {lineno}: not a number: {line!r}"
-                ) from None
+                if not header_allowed:
+                    raise InputDataError(
+                        f"losses file {path}, line {lineno}: not a number: {line!r}"
+                    ) from None
+            header_allowed = False
     try:
         return as_loss_vector(values)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputDataError(f"losses file {path}: {exc}") from exc
 
 
@@ -230,7 +281,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     payload = {
         "pooled_loss": outcome.pooled_loss,
         "alpha_star": outcome.alpha_star,
-        "support_indices": [int(i) for i in outcome.support],
+        "support_indices": outcome.support,
         "weights": outcome.weights,
         "dual": outcome.dual,
     }
@@ -288,11 +339,9 @@ def cmd_weight_curves(args: argparse.Namespace) -> int:
     )
     out_path.parent.mkdir(parents=True, exist_ok=True)
     header = ["pixel_rank", "loss"] + [name for name, _ in columns]
-    lines = [",".join(header)]
-    for rank in range(n):
-        row = [str(rank + 1), _f17(losses[rank])]
-        row += [_f17(weights[rank]) for _, weights in columns]
-        lines.append(",".join(row))
+    cells = [map(str, range(1, n + 1)), _format_each(losses)]
+    cells += [_format_each(weights) for _, weights in columns]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
     out_path.write_text("\n".join(lines) + "\n")
     print(f"wrote {len(columns)} weight curves over {n} losses to {out_path}")
     return EXIT_OK
@@ -450,11 +499,8 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
                 seed,
                 report.config_echo,
             )
-            csv_lines.append(
-                f"{seed},{mode},"
-                + ",".join(_f17(v) for v in report.per_class_iou)
-                + f",{_f17(report.mean_iou)}"
-            )
+            ious = _format_each([*report.per_class_iou, report.mean_iou])
+            csv_lines.append(f"{seed},{mode}," + ",".join(ious))
             print(
                 f"seed {seed} {mode}: mean IoU {_f9(report.mean_iou)}, "
                 f"class {rarest} IoU {_f9(report.per_class_iou[rarest])}"

@@ -16,8 +16,15 @@ import numpy as np
 import pytest
 
 import losspool
-from losspool.cli import main, parse_pooling, read_losses
-from losspool.solver import solve_pool
+from losspool.cli import (
+    InputDataError,
+    _ARRAY_CHUNK,
+    _write_json,
+    main,
+    parse_pooling,
+    read_losses,
+)
+from losspool.solver import PoolingConfig, solve_pool
 
 
 @pytest.fixture(autouse=True)
@@ -49,15 +56,48 @@ class TestReadLosses:
         np.testing.assert_array_equal(read_losses(path), [0.25, 4.0, 1.0])
 
     @pytest.mark.parametrize(
-        "text", ["", "[1.0,", '{"a": 1}', "1.0\nnot-a-number\n", "[1.0, -2.0]"]
+        "text",
+        [
+            "", "[1.0,", '{"a": 1}', "1.0\nnot-a-number\n", "[1.0, -2.0]",
+            "[1, true]", '["1.5", 2]', "[1.5, null]", "[[1.0, 2.0]]",
+            pytest.param("[1" + "0" * 400 + "]", id="int-beyond-float64"),
+        ],
     )
     def test_bad_files_raise_input_errors(self, tmp_path, text):
-        from losspool.cli import InputDataError
-
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(InputDataError):
             read_losses(path)
+
+    @pytest.mark.parametrize(
+        "text,fragment",
+        [
+            ("[1, true]", "element 1 is not a number: true"),
+            ('["1.5", 2]', 'element 0 is not a number: "1.5"'),
+            ("[1.5, null]", "element 1 is not a number: null"),
+        ],
+    )
+    def test_json_error_names_the_first_non_number(self, tmp_path, text, fragment):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(InputDataError, match=fragment):
+            read_losses(path)
+
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [("loss\n1.5\n\n\n2.5\nx\n", 6), ("\n\nloss\n1.5\nx\n", 5)],
+    )
+    def test_csv_error_names_the_line_in_the_file(self, tmp_path, text, lineno):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InputDataError, match=f"line {lineno}: not a number: 'x'"):
+            read_losses(path)
+
+    def test_csv_error_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("loss\n1.5\n\n\n2.5\nx\n")
+        assert main(["solve", "--losses", str(path), "--p", "2", "--m", "1"]) == 2
+        assert "line 6" in capsys.readouterr().err
 
 
 class TestParsePooling:
@@ -193,6 +233,86 @@ class TestSolveCommand:
         config.write_text('{"p": 2,')
         code = main(["solve", "--losses", losses, "--config", str(config)])
         assert code == 3
+
+
+class TestJsonWriter:
+    """The exact bytes of the files the CLI writes."""
+
+    def test_solve_file_bytes_are_frozen(self, tmp_path, capsys):
+        losses = write_losses(tmp_path / "l.csv", [0.1, 5e-324, 1e16, 0.0, 2.5])
+        out = tmp_path / "solution.json"
+        code = main(
+            ["solve", "--losses", losses, "--p", "1", "--m", "3",
+             "--output", str(out)]
+        )
+        assert code == 0
+        assert out.read_bytes() == (
+            b'{\n'
+            b'  "pooled_loss": 3333333333333333.5,\n'
+            b'  "alpha_star": 0,\n'
+            b'  "support_indices": [0, 2, 4],\n'
+            b'  "weights": [0.33333333333333331, 0, 0.33333333333333331, 0, '
+            b'0.33333333333333331],\n'
+            b'  "dual": [0.10000000000000001, 4.9406564584124654e-324, '
+            b'10000000000000000, 0, 2.5]\n'
+            b'}\n'
+        )
+
+    def test_arrays_longer_than_a_chunk(self, tmp_path, capsys):
+        n = 3 * _ARRAY_CHUNK + 1
+        values = np.random.default_rng(11).exponential(size=n) ** 2
+        losses = write_losses(tmp_path / "l.csv", values.tolist())
+        out = tmp_path / "solution.json"
+        code = main(
+            ["solve", "--losses", losses, "--p", "1.3", "--m", "25%",
+             "--output", str(out)]
+        )
+        assert code == 0
+        outcome = solve_pool(values, PoolingConfig(p=1.3, m_fraction=0.25))
+        support = ", ".join(str(int(i)) for i in outcome.support)
+        weights = ", ".join(format(x, ".17g") for x in outcome.weights)
+        dual = ", ".join(format(x, ".17g") for x in outcome.dual)
+        assert out.read_text().splitlines()[3:6] == [
+            f'  "support_indices": [{support}],',
+            f'  "weights": [{weights}],',
+            f'  "dual": [{dual}]',
+        ]
+
+    def test_nested_document_layout(self, tmp_path):
+        doc = {
+            "empty_dict": {},
+            "empty_list": [],
+            "flags": [True, False],
+            "none": None,
+            "text": 'a "b"\u00e9',
+            "int": 7,
+            "np_int": np.int64(-3),
+            "np_float": np.float32(0.1),
+            "nested": {
+                "rows": [{"x": 0.1}, [1, 2.5]],
+                "arr": np.array([[1, 2], [3, 4]]),
+            },
+        }
+        path = tmp_path / "sub" / "doc.json"
+        _write_json(path, doc)
+        assert path.read_text() == (
+            '{\n'
+            '  "empty_dict": {},\n'
+            '  "empty_list": [],\n'
+            '  "flags": [true, false],\n'
+            '  "none": null,\n'
+            '  "text": "a \\"b\\"\\u00e9",\n'
+            '  "int": 7,\n'
+            '  "np_int": -3,\n'
+            '  "np_float": 0.10000000149011612,\n'
+            '  "nested": {\n'
+            '    "rows": [{\n'
+            '      "x": 0.10000000000000001\n'
+            '    }, [1, 2.5]],\n'
+            '    "arr": [[1, 2], [3, 4]]\n'
+            '  }\n'
+            '}\n'
+        )
 
 
 class TestWeightCurvesCommand:
