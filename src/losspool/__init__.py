@@ -8,8 +8,6 @@ from .solver import (
     derive_parameters,
     dual_objective,
     eta,
-    gradient_wrt_losses,
-    normalize_then_solve,
     solve_pool,
     stable_qnorm,
 )
@@ -22,8 +20,6 @@ __all__ = [
     "derive_parameters",
     "dual_objective",
     "eta",
-    "gradient_wrt_losses",
-    "normalize_then_solve",
     "solve_pool",
     "stable_qnorm",
 ]

@@ -24,8 +24,10 @@ Machine-readable files carry floats with 17 significant digits (exact for
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -38,6 +40,7 @@ from .trainer import (
     SyntheticDatasetSpec,
     TrainConfig,
     TrainingDivergence,
+    class_pixel_counts,
     generate_dataset,
     save_model,
     train,
@@ -247,6 +250,19 @@ def _merge_options(args: argparse.Namespace, defaults: dict) -> dict:
     return {**defaults, **from_file, **provided}
 
 
+def _option(merged: dict, key: str, convert):
+    """``convert(merged[key])``, reporting a value it rejects as a parameter error."""
+    try:
+        return convert(merged[key])
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"bad {key} value {merged[key]!r}: {exc}") from None
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ParameterError(f"seeds must be non-negative, got {seed}")
+
+
 def _output_dir(merged: dict) -> Path:
     configured = merged.get("output_dir") or os.environ.get("LOSSPOOL_OUTPUT_DIR")
     directory = Path(configured) if configured else Path(".")
@@ -274,9 +290,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     values = read_losses(merged["losses"])
     config = parse_pooling(str(merged["p"]), str(merged["m"]))
     try:
-        outcome = solve_pool(values, config)
+        config.resolve(values.size)
     except ValueError as exc:
         raise ParameterError(str(exc)) from exc
+    outcome = solve_pool(values, config)
+    if not (math.isfinite(outcome.pooled_loss) and math.isfinite(outcome.alpha_star)):
+        raise InputDataError(
+            f"losses file {merged['losses']}: the solution leaves float64 range "
+            f"(pooled_loss {outcome.pooled_loss!r}, alpha_star {outcome.alpha_star!r})"
+        )
 
     payload = {
         "pooled_loss": outcome.pooled_loss,
@@ -310,9 +332,11 @@ _CURVES_DEFAULTS = {
 
 def cmd_weight_curves(args: argparse.Namespace) -> int:
     merged = _merge_options(args, _CURVES_DEFAULTS)
-    n = int(merged["n"])
+    n = _option(merged, "n", int)
     if n < 1:
         raise ParameterError(f"n must be at least 1, got {n}")
+    seed = _option(merged, "seed", int)
+    _check_seed(seed)
     p_tokens = [tok.strip() for tok in str(merged["p_list"]).split(",") if tok.strip()]
     m_tokens = [tok.strip() for tok in str(merged["m_list"]).split(",") if tok.strip()]
     if not p_tokens or not m_tokens:
@@ -321,14 +345,17 @@ def cmd_weight_curves(args: argparse.Namespace) -> int:
     # Jittered exponential quantiles: a long-tailed, strictly increasing
     # loss profile whose shape is stable across seeds, so the curve
     # geometry (cap onset, support growth) does not depend on a lucky draw.
-    rng = np.random.default_rng(int(merged["seed"]))
+    rng = np.random.default_rng(seed)
     quantiles = (np.arange(n) + rng.uniform(0.05, 0.95, size=n)) / n
     losses = 0.3 - np.log1p(-quantiles)
 
     columns = []
     for p_tok, m_tok in itertools.product(p_tokens, m_tokens):
         config = parse_pooling(p_tok, m_tok)
-        config.resolve(n)  # surface parameter errors before any output
+        try:
+            config.resolve(n)  # surface parameter errors before any output
+        except ValueError as exc:
+            raise ParameterError(str(exc)) from exc
         outcome = solve_pool(losses, config)
         columns.append((f"w_p{p_tok}_m{m_tok}", outcome.weights))
 
@@ -361,14 +388,16 @@ _AUDIT_DEFAULTS = {
 
 def cmd_oracle_audit(args: argparse.Namespace) -> int:
     merged = _merge_options(args, _AUDIT_DEFAULTS)
-    instances = int(merged["instances"])
+    instances = _option(merged, "instances", int)
     if instances < 1:
         raise ParameterError(f"instances must be at least 1, got {instances}")
-    rel_tol = float(merged["rel_tol"])
-    kkt_tol = float(merged["kkt_tol"])
+    seed = _option(merged, "seed", int)
+    _check_seed(seed)
+    rel_tol = _option(merged, "rel_tol", float)
+    kkt_tol = _option(merged, "kkt_tol", float)
 
     summary = run_audit(
-        instances=instances, seed=int(merged["seed"]), rel_tol=rel_tol, kkt_tol=kkt_tol
+        instances=instances, seed=seed, rel_tol=rel_tol, kkt_tol=kkt_tol
     )
     checks = [
         ("max relative gap (ascent)", summary.worst_ascent_err, rel_tol),
@@ -377,7 +406,7 @@ def cmd_oracle_audit(args: argparse.Namespace) -> int:
         ("max constraint violation", summary.worst_violation, 1e-8),
     ]
     print(
-        f"oracle audit: {instances} instances, seed {int(merged['seed'])}, "
+        f"oracle audit: {instances} instances, seed {seed}, "
         f"{summary.elapsed_seconds:.1f}s"
     )
     for label, worst, tol in checks:
@@ -388,7 +417,7 @@ def cmd_oracle_audit(args: argparse.Namespace) -> int:
 
     report = {
         "instances": instances,
-        "seed": int(merged["seed"]),
+        "seed": seed,
         "rel_tol": rel_tol,
         "kkt_tol": kkt_tol,
         "elapsed_seconds": summary.elapsed_seconds,
@@ -449,9 +478,11 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
     modes = [tok.strip() for tok in str(merged["modes"]).split(",") if tok.strip()]
     if not seeds or not modes:
         raise ParameterError("need at least one seed and one loss mode")
+    for seed in seeds:
+        _check_seed(seed)
 
-    dataset_options = dict(merged["dataset"])
-    train_options = dict(merged["train"])
+    dataset_options = _option(merged, "dataset", dict)
+    train_options = _option(merged, "train", dict)
     for forbidden, owner in (("seed", "--seeds"), ("loss_mode", "--modes")):
         if forbidden in train_options:
             raise ParameterError(f"config key train.{forbidden} is set by {owner}")
@@ -460,15 +491,19 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
             "config key dataset.seed is derived from --seeds (100 + seed)"
         )
     if merged["sigma"] is not None:
-        dataset_options["feature_noise"] = float(merged["sigma"])
+        dataset_options["feature_noise"] = _option(merged, "sigma", float)
     if merged["iterations"] is not None:
-        train_options["iterations"] = int(merged["iterations"])
+        train_options["iterations"] = _option(merged, "iterations", int)
 
     try:
         base_spec = SyntheticDatasetSpec.from_dict(
             {**SyntheticDatasetSpec().to_dict(), **dataset_options}
         )
+        class_pixel_counts(base_spec)  # rejects a class rounded to 0 pixels
         base_train = TrainConfig.from_dict({**TrainConfig().to_dict(), **train_options})
+        mode_configs = [
+            dataclasses.replace(base_train, loss_mode=mode) for mode in modes
+        ]
     except (ValueError, TypeError, KeyError) as exc:
         raise ParameterError(f"invalid demo config: {exc}") from exc
 
@@ -485,10 +520,8 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
             {**base_spec.to_dict(), "seed": 100 + seed}
         )
         dataset = generate_dataset(spec)
-        for mode in modes:
-            config = TrainConfig.from_dict(
-                {**base_train.to_dict(), "loss_mode": mode, "seed": seed}
-            )
+        for mode, mode_config in zip(modes, mode_configs):
+            config = dataclasses.replace(mode_config, seed=seed)
             report = train(dataset, config)
             results[(mode, seed)] = report.per_class_iou
             stem = f"{mode}_seed{seed}"
@@ -585,7 +618,7 @@ def main(argv=None) -> int:
     except InputDataError as exc:
         print(f"losspool: input error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ParameterError, ValueError) as exc:
+    except ParameterError as exc:
         print(f"losspool: parameter error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     except TrainingDivergence as exc:

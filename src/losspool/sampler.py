@@ -13,7 +13,6 @@ bias never chases classes the data does not contain.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -63,18 +62,6 @@ class ClassStats:
     def present(self) -> np.ndarray:
         """Classes observed as ground truth at least once (post decay)."""
         return self.confusion.sum(axis=1) > 0
-
-    def to_json(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "decay": self.decay,
-            "confusion": self.confusion.tolist(),
-            "iou": self.iou.tolist(),
-            "iou_history": self.iou_history,
-        }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
 
 def update_stats(stats: ClassStats, predictions, labels, valid=None) -> ClassStats:

@@ -39,8 +39,6 @@ __all__ = [
     "TrainingDivergence",
     "class_pixel_counts",
     "generate_dataset",
-    "dataset_to_json",
-    "dataset_from_json",
     "inverse_median_frequency_weights",
     "poly_lr",
     "train",
@@ -247,26 +245,6 @@ def generate_dataset(spec: SyntheticDatasetSpec) -> SyntheticDataset:
     )
 
 
-def dataset_to_json(dataset: SyntheticDataset) -> dict:
-    return {
-        "spec": dataset.spec.to_dict(),
-        "features": dataset.features.tolist(),
-        "labels": dataset.labels.tolist(),
-        "train_indices": dataset.train_indices.tolist(),
-        "eval_indices": dataset.eval_indices.tolist(),
-    }
-
-
-def dataset_from_json(data: dict) -> SyntheticDataset:
-    return SyntheticDataset(
-        features=np.asarray(data["features"], dtype=np.float64),
-        labels=np.asarray(data["labels"], dtype=np.int64),
-        train_indices=np.asarray(data["train_indices"], dtype=np.intp),
-        eval_indices=np.asarray(data["eval_indices"], dtype=np.intp),
-        spec=SyntheticDatasetSpec.from_dict(data["spec"]),
-    )
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """One training run: reduction mode, optimiser, and crop schedule.
@@ -391,16 +369,6 @@ class TrainReport:
             "config_echo": self.config_echo,
             "wall_time": self.wall_time,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TrainReport":
-        return cls(
-            per_class_iou=[float(x) for x in data["per_class_iou"]],
-            mean_iou=float(data["mean_iou"]),
-            loss_history=[float(x) for x in data["loss_history"]],
-            config_echo=dict(data["config_echo"]),
-            wall_time=float(data["wall_time"]),
-        )
 
 
 def poly_lr(lr0: float, power: float, iteration: int, total: int) -> float:

@@ -179,6 +179,38 @@ class TestSolveCommand:
         assert code == 2
         assert "non-negative" in capsys.readouterr().err
 
+    def test_subnormal_loss_stays_distinct_from_zero(self, tmp_path, capsys):
+        losses = write_losses(tmp_path / "l.csv", [1e16, 0.1, 5e-324, 0.0])
+        out = tmp_path / "solution.json"
+        code = main(
+            ["solve", "--losses", losses, "--p", "1", "--m", "3",
+             "--output", str(out)]
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["support_indices"] == [0, 1, 2]
+        assert doc["weights"][3] == 0
+
+    def test_threshold_beyond_float64_exits_2_without_output(self, tmp_path, capsys):
+        losses = write_losses(tmp_path / "l.csv", [1.7e308, 1.7e308, 1.7e308, 1.0])
+        out = tmp_path / "solution.json"
+        code = main(
+            ["solve", "--losses", losses, "--p", "4", "--m", "2.5",
+             "--output", str(out)]
+        )
+        assert code == 2
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_value_error_from_the_solver_propagates(self, tmp_path, monkeypatch):
+        def broken(values, config):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(losspool.cli, "solve_pool", broken)
+        losses = write_losses(tmp_path / "l.csv", [3.0, 1.0])
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["solve", "--losses", losses, "--p", "2", "--m", "1"])
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(
             ["solve", "--losses", str(tmp_path / "nope.csv"), "--p", "2", "--m", "1"]
@@ -248,13 +280,12 @@ class TestJsonWriter:
         assert code == 0
         assert out.read_bytes() == (
             b'{\n'
-            b'  "pooled_loss": 3333333333333333.5,\n'
-            b'  "alpha_star": 0,\n'
+            b'  "pooled_loss": 3333333333333334,\n'
+            b'  "alpha_star": 4.9406564584124654e-324,\n'
             b'  "support_indices": [0, 2, 4],\n'
             b'  "weights": [0.33333333333333331, 0, 0.33333333333333331, 0, '
             b'0.33333333333333331],\n'
-            b'  "dual": [0.10000000000000001, 4.9406564584124654e-324, '
-            b'10000000000000000, 0, 2.5]\n'
+            b'  "dual": [0.10000000000000001, 0, 10000000000000000, 0, 2.5]\n'
             b'}\n'
         )
 
@@ -362,6 +393,11 @@ class TestWeightCurvesCommand:
         code = main(["weight-curves", "--p-list", "0.2", "--m-list", "25%"])
         assert code == 3
 
+    def test_m_beyond_n_exits_3(self, tmp_path, capsys):
+        code = main(["weight-curves", "--n", "5", "--m-list", "9"])
+        assert code == 3
+        assert "m must lie in" in capsys.readouterr().err
+
     def test_seeded_losses_are_reproducible(self, tmp_path, capsys):
         _, first = self.run_curves(tmp_path, capsys)
         _, second = self.run_curves(tmp_path, capsys)
@@ -395,6 +431,19 @@ class TestOracleAuditCommand:
         assert "retained" in out
         report = json.loads((tmp_path / "audit_report.json").read_text())
         assert report["all_passed"] is False
+
+    @pytest.mark.parametrize(
+        "config_doc,fragment",
+        [({"instances": "many"}, "instances"), ({"seed": -1}, "non-negative")],
+    )
+    def test_bad_config_value_exits_3(self, tmp_path, capsys, config_doc, fragment):
+        config = tmp_path / "audit.json"
+        config.write_text(json.dumps(config_doc))
+        code = main(
+            ["oracle-audit", "--config", str(config), "--output-dir", str(tmp_path)]
+        )
+        assert code == 3
+        assert fragment in capsys.readouterr().err
 
     def test_audit_rows_are_deterministic(self, tmp_path, capsys):
         for sub in ("a", "b"):
@@ -467,6 +516,7 @@ class TestTrainDemoCommand:
             ({"dataset": {"seed": 4}}, "dataset.seed"),
             ({"mystery": 1}, "mystery"),
             ({"train": {"lr0": -1.0}}, "lr0"),
+            ({"dataset": 5}, "dataset"),
         ],
     )
     def test_bad_config_exits_3_naming_the_key(

@@ -6,8 +6,6 @@ The frozen distributions are hand computed.  With per-class IoU
 binary: every value is a ratio of small integers times powers of two).
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -67,15 +65,6 @@ class TestClassStats:
     def test_rejects_bad_decay(self, decay):
         with pytest.raises(ValueError, match="decay"):
             ClassStats(num_classes=2, decay=decay)
-
-    def test_to_json_round_trips(self):
-        stats = stats_with_known_iou()
-        doc = json.loads(stats.to_json_str())
-        assert doc["num_classes"] == 3
-        assert doc["decay"] == 0.99
-        np.testing.assert_array_equal(doc["confusion"], stats.confusion)
-        np.testing.assert_array_equal(doc["iou"], [1.0, 0.5, 0.25])
-        assert doc["iou_history"] == stats.iou_history
 
 
 class TestUpdateStats:

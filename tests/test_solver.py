@@ -25,8 +25,6 @@ from losspool import (
     derive_parameters,
     dual_objective,
     eta,
-    gradient_wrt_losses,
-    normalize_then_solve,
     solve_pool,
     stable_qnorm,
 )
@@ -160,10 +158,6 @@ class TestDeriveParameters:
         assert math.isinf(r.q)
         assert r.tau == 0.25
 
-    def test_small_p_warns(self):
-        with pytest.warns(RuntimeWarning, match="extended precision"):
-            derive_parameters(1.0005, 10, m=4.0)
-
 
 class TestPoolingConfig:
     def test_resolve_matches_derive(self):
@@ -239,6 +233,14 @@ class TestWorkedExamples:
         assert out.pooled_loss == 2.5
         np.testing.assert_array_equal(out.weights, [1.0])
 
+    def test_threshold_beyond_float64_range(self):
+        """alpha_star overflows; the pooled value and the weights do not."""
+        out = solve_pool([1.7e308] * 3 + [1.0], PoolingConfig(p=4.0, m=2.5))
+        assert out.alpha_star == math.inf
+        np.testing.assert_allclose(out.pooled_loss, 1.370076663075016e308, rtol=1e-13)
+        assert np.all(np.isfinite(out.weights))
+        assert out.support.size == 0
+
     def test_all_zero_losses(self):
         out = solve_pool([0.0, 0.0, 0.0], PoolingConfig(p=1.3, m=2.0))
         assert out.pooled_loss == 0.0
@@ -259,8 +261,15 @@ class TestReferenceAgreement:
             ([10.0, 1e-6, 5.0, 2.0], 4.0, 1.8),
             ([1e-8, 2e-8, 3e-8], 1.1, 2.0),
             ([0.5, 1.0], 1.05, 1.5),
+            ([1.0] + [0.2] * 20, 1.0015, 2.5),
+            ([1.0] + [0.2] * 20, 1.00011, 2.5),
+            ([1.0] + [0.05] * 20, 1.003, 2.5),
+            ([1e-300, 1e-10, 1.0, 3e5, 7e-200], 1.001, 2.2),
         ],
-        ids=["p2", "p1.3", "ties", "spread", "tiny", "near-one"],
+        ids=[
+            "p2", "p1.3", "ties", "spread", "tiny", "near-one",
+            "p1.0015", "p1.00011", "p1.003", "thirty-decades",
+        ],
     )
     def test_matches_reference(self, losses, p, m):
         expected_pooled, expected_alpha = reference_solve(losses, p, m)
@@ -269,10 +278,9 @@ class TestReferenceAgreement:
         np.testing.assert_allclose(out.alpha_star, expected_alpha, rtol=5e-14)
 
     def test_matches_reference_extended_precision_path(self):
-        """p close enough to 1 that the scan accumulates in long double."""
+        """p = 1.0005 (q about 2000), where powers l**q leave float64 range."""
         losses = [0.5, 1.0, 0.25, 0.75]
-        with pytest.warns(RuntimeWarning, match="extended precision"):
-            out = solve_pool(losses, PoolingConfig(p=1.0005, m=2.5))
+        out = solve_pool(losses, PoolingConfig(p=1.0005, m=2.5))
         expected_pooled, expected_alpha = reference_solve(losses, 1.0005, 2.5)
         np.testing.assert_allclose(out.pooled_loss, expected_pooled, rtol=1e-13)
         np.testing.assert_allclose(out.alpha_star, expected_alpha, rtol=1e-13)
@@ -433,14 +441,6 @@ class TestLimits:
         assert capped.pooled_loss == hard.pooled_loss
         np.testing.assert_array_equal(capped.weights, hard.weights)
 
-    def test_solve_pool_is_normalize_then_solve(self):
-        losses = [0.3, 1.1, 2.4]
-        cfg = PoolingConfig(p=1.7, m=2.0)
-        a = solve_pool(losses, cfg)
-        b = normalize_then_solve(losses, cfg)
-        assert a.pooled_loss == b.pooled_loss
-        np.testing.assert_array_equal(a.weights, b.weights)
-
 
 class TestEta:
     def test_below_threshold_negative(self):
@@ -522,17 +522,11 @@ class TestDualObjective:
 
 
 class TestGradient:
-    def test_returns_independent_copy(self):
-        out = solve_pool([3.0, 1.0], PoolingConfig(p=2.0, m=1.0))
-        grad = gradient_wrt_losses(out)
-        grad[0] = -1.0
-        assert out.weights[0] != -1.0
-
     def test_matches_finite_differences(self):
         """Central differences on a tie-free instance agree with the weights."""
         losses = np.array([0.3, 1.1, 2.4, 0.7, 3.9])
         cfg = PoolingConfig(p=1.7, m=2.3)
-        grad = gradient_wrt_losses(solve_pool(losses, cfg))
+        grad = solve_pool(losses, cfg).weights
         h = 1e-6
         for i in range(losses.size):
             bumped = losses.copy()

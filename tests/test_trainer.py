@@ -17,12 +17,9 @@ from losspool.trainer import (
     SyntheticDataset,
     SyntheticDatasetSpec,
     TrainConfig,
-    TrainReport,
     TrainingDivergence,
     _clipped_window,
     class_pixel_counts,
-    dataset_from_json,
-    dataset_to_json,
     evaluate,
     generate_dataset,
     inverse_median_frequency_weights,
@@ -174,16 +171,6 @@ class TestGenerateDataset:
             for minority in (1, 2):
                 spots = np.flatnonzero(flat == minority)
                 assert np.all(np.diff(spots) == 1), f"class {minority} fragmented"
-
-    def test_json_round_trip_is_exact(self):
-        dataset = generate_dataset(small_spec(images=2))
-        doc = json.loads(json.dumps(dataset_to_json(dataset)))
-        back = dataset_from_json(doc)
-        np.testing.assert_array_equal(back.features, dataset.features)
-        np.testing.assert_array_equal(back.labels, dataset.labels)
-        np.testing.assert_array_equal(back.train_indices, dataset.train_indices)
-        np.testing.assert_array_equal(back.eval_indices, dataset.eval_indices)
-        assert back.spec == dataset.spec
 
 
 class TestTrainConfig:
@@ -428,12 +415,10 @@ class TestTrainReport:
         report = train(dataset, TrainConfig(iterations=5, seed=2))
         doc = json.loads(json.dumps(report.to_json()))
         assert "model_weights" not in doc
-        back = TrainReport.from_json(doc)
-        assert back.per_class_iou == report.per_class_iou
-        assert back.mean_iou == report.mean_iou
-        assert back.loss_history == report.loss_history
-        assert back.config_echo == report.config_echo
-        assert back.model_weights is None
+        assert doc["per_class_iou"] == report.per_class_iou
+        assert doc["mean_iou"] == report.mean_iou
+        assert doc["loss_history"] == report.loss_history
+        assert doc["config_echo"] == report.config_echo
 
 
 class TestModelSerialisation:
