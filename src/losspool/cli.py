@@ -40,6 +40,7 @@ from .trainer import (
     SyntheticDatasetSpec,
     TrainConfig,
     TrainingDivergence,
+    check_crop_pooling,
     class_pixel_counts,
     generate_dataset,
     save_model,
@@ -428,23 +429,7 @@ def cmd_oracle_audit(args: argparse.Namespace) -> int:
             "kkt_residual": summary.worst_kkt,
             "constraint_violation": summary.worst_violation,
         },
-        "rows": [
-            {
-                "index": row.index,
-                "n": row.n,
-                "p": row.p,
-                "m": row.m,
-                "solver_value": row.solver_value,
-                "ascent_value": row.ascent_value,
-                "scan_value": row.scan_value,
-                "ascent_rel_err": row.ascent_rel_err,
-                "scan_rel_err": row.scan_rel_err,
-                "kkt_residual": row.kkt_residual,
-                "constraint_violation": row.constraint_violation,
-                "passed": row.passed,
-            }
-            for row in summary.rows
-        ],
+        "rows": [dataclasses.asdict(row) for row in summary.rows],
     }
     report_path = _output_dir(merged) / "audit_report.json"
     _write_json(report_path, report)
@@ -504,6 +489,10 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
         mode_configs = [
             dataclasses.replace(base_train, loss_mode=mode) for mode in modes
         ]
+        if "lmp" in modes:
+            check_crop_pooling(
+                base_spec.image_size, base_train.crop_size, base_train.pooling
+            )
     except (ValueError, TypeError, KeyError) as exc:
         raise ParameterError(f"invalid demo config: {exc}") from exc
 

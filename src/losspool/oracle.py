@@ -4,17 +4,20 @@ Two independent routes to the pooled value, used to audit
 :func:`losspool.solver.solve_pool`:
 
 * :func:`maximize_primal` climbs the feasible set directly: gradient ascent
-  on ``w . l`` with exact projections onto the intersection of the weight box
-  ``[0, tau]^n`` and the p-norm ball of radius ``gamma``.  The objective is
-  linear and the set convex and compact, so the fixed point of the
-  project-and-step map is a global maximiser.
+  on ``w . l`` with exact projections (:func:`project_feasible`) onto the
+  intersection of the weight box ``[0, tau]^n`` and the p-norm ball of
+  radius ``gamma``.  The objective is linear and the set convex and compact,
+  so the fixed point of the project-and-step map is a global maximiser.
 * :func:`scan_dual_alpha` walks the dual path ``lam(alpha) = max(l - alpha,
   0)`` over a dense threshold grid and refines the best bracket by golden
   section.  The dual objective is unimodal along this path and meets the
   primal value at the optimum.
 
 Neither route shares code or structure with the closed-form solver; that is
-the point.  This module is verification tooling, not part of the library
+the point.  :func:`project_feasible_dykstra` checks the projection itself by
+alternating the box with the same projection run with the cap lifted.  The
+iteration counts, step size and grid size are module constants, set to what
+the audit runs.  This module is verification tooling, not part of the library
 surface proper, but the command line exposes it for audits.
 """
 
@@ -40,9 +43,7 @@ __all__ = [
     "AuditSummary",
     "maximize_primal",
     "scan_dual_alpha",
-    "check_kkt",
     "kkt_residual",
-    "project_pnorm_ball",
     "project_feasible",
     "project_feasible_dykstra",
     "random_instance",
@@ -50,15 +51,22 @@ __all__ = [
 ]
 
 # Alternating projections stop once a full cycle moves the iterate no more
-# than this (sup norm).
+# than this (sup norm), or after this many cycles.
 DYKSTRA_MOVEMENT_TOL = 1.0e-10
 _DYKSTRA_MAX_CYCLES = 4000
 
-# Bisection width (relative to the bracket) for the ball projection's
-# Lagrange multiplier.
+# Bisection width (relative to the bracket) for the projection's Lagrange
+# multiplier.
 _BALL_TOL = 1.0e-12
 
+# Projected gradient ascent: iteration budget, stall threshold (sup norm) and
+# step size relative to the set size.
+_ASCENT_ITERS = 5000
 _ASCENT_MOVEMENT_TOL = 1.0e-9
+_ASCENT_STEP = 1.0e4
+
+# Threshold grid points of the dual scan before golden-section refinement.
+_SCAN_GRID_SIZE = 1024
 
 
 @dataclass
@@ -83,7 +91,7 @@ class OracleReport:
 def _shrink_to_ball_surface(b: np.ndarray, nu: float, p: float) -> np.ndarray:
     """Solve ``x + nu * p * x**(p-1) = b`` coordinatewise for ``x >= 0``.
 
-    This is the stationarity condition of the ball projection at multiplier
+    This is the stationarity condition of the projection at multiplier
     ``nu``.  Newton iterations run on a convex reformulation so they stay on
     one side of the root and need no safeguarding.
     """
@@ -129,53 +137,6 @@ def _shrink_to_ball_surface(b: np.ndarray, nu: float, p: float) -> np.ndarray:
     return x
 
 
-def project_pnorm_ball(
-    v: np.ndarray,
-    p: float,
-    radius: float,
-    tol: float = _BALL_TOL,
-    state: dict | None = None,
-) -> np.ndarray:
-    """Euclidean projection onto ``{x : ||x||_p <= radius}`` for finite p > 1.
-
-    Outside the ball the projection solves the scaled-shrinkage fixed point;
-    the Lagrange multiplier is bracketed and bisected to relative width
-    ``tol``.  ``state`` (if given) caches the multiplier between calls so
-    that repeated projections of nearby points start from a tight bracket.
-    """
-    if not (1.0 < p < math.inf):
-        raise ValueError(f"ball projection needs finite p > 1, got {p!r}")
-    av = np.abs(v)
-    if stable_qnorm(av, p) <= radius:
-        return v.copy()
-
-    def surface_norm(nu: float) -> float:
-        return stable_qnorm(_shrink_to_ball_surface(av, nu, p), p) - radius
-
-    lo, hi = 0.0, 1.0
-    if state is not None and state.get("nu", 0.0) > 0.0:
-        hint = state["nu"]
-        lo, hi = hint / 4.0, hint * 4.0
-        if surface_norm(lo) < 0.0:
-            lo = 0.0
-        if surface_norm(hi) > 0.0:
-            while surface_norm(hi) > 0.0:
-                hi *= 4.0
-    else:
-        while surface_norm(hi) > 0.0:
-            hi *= 4.0
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if surface_norm(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    nu = 0.5 * (lo + hi)
-    if state is not None:
-        state["nu"] = nu
-    return np.sign(v) * _shrink_to_ball_surface(av, nu, p)
-
-
 def _restore_feasible(x: np.ndarray, params: ResolvedPooling) -> np.ndarray:
     """Clip to the box and rescale into the ball; cheap exact feasibility."""
     w = np.clip(x, 0.0, params.tau)
@@ -186,21 +147,19 @@ def _restore_feasible(x: np.ndarray, params: ResolvedPooling) -> np.ndarray:
 
 
 def project_feasible(
-    point: np.ndarray,
-    params: ResolvedPooling,
-    tol: float = _BALL_TOL,
-    state: dict | None = None,
+    point: np.ndarray, params: ResolvedPooling, state: dict | None = None
 ) -> np.ndarray:
     """Exact Euclidean projection onto box intersect p-norm ball.
 
     Dualising only the ball constraint makes the projection separable: for a
     multiplier ``nu`` the box-constrained minimiser per coordinate is
-    ``clip(shrink(v, nu), 0, tau)`` with the same scaled-shrinkage map as the
-    plain ball projection, and the norm of that candidate is monotone in
-    ``nu``.  Bisecting ``nu`` until the norm meets ``gamma`` therefore yields
-    the exact joint projection (strong duality; the intersection has
-    interior).  ``state`` caches the multiplier across calls for a tight
-    starting bracket.
+    ``clip(shrink(v, nu), 0, tau)`` with a scaled-shrinkage map, and the norm
+    of that candidate is monotone in ``nu``.  Bisecting ``nu`` until the norm
+    meets ``gamma`` therefore yields the exact joint projection (strong
+    duality; the intersection has interior).  With ``tau = inf`` this is the
+    projection of a non-negative point onto the p-norm ball alone.
+    ``state`` caches the multiplier across calls for a tight starting
+    bracket.
     """
     if not (1.0 < params.p < math.inf):
         raise ValueError(f"projection needs finite p > 1, got {params.p!r}")
@@ -227,7 +186,7 @@ def project_feasible(
     else:
         while excess(hi) > 0.0:
             hi *= 4.0
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > _BALL_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0.0:
             lo = mid
@@ -239,37 +198,38 @@ def project_feasible(
     return candidate(nu)
 
 
-def project_feasible_dykstra(
-    point: np.ndarray,
-    params: ResolvedPooling,
-    movement_tol: float = DYKSTRA_MOVEMENT_TOL,
-    max_cycles: int = _DYKSTRA_MAX_CYCLES,
-) -> np.ndarray:
+def project_feasible_dykstra(point: np.ndarray, params: ResolvedPooling) -> np.ndarray:
     """Reference joint projection by Dykstra alternating projections.
 
-    Kept as an independent check on :func:`project_feasible`.  Converges for
-    any input but burns down its corrections only linearly when the point is
-    far outside the sets, so it is unsuitable as the ascent workhorse; the
-    loop stops once a full cycle neither moves the iterate nor leaves a gap
-    between the box view and the ball view (both below ``movement_tol``).
+    Kept as a check on :func:`project_feasible`: it alternates the box
+    ``[0, tau]^n`` with the p-norm ball, and the ball step is the joint
+    projection with the cap lifted (``tau = inf``).  That step only ever sees
+    non-negative points, the box output plus a correction that the ball
+    projection leaves non-negative, so lifting the cap is exact there.
+    Converges for any input but burns down its corrections only linearly
+    when the point is far outside the sets, so it is unsuitable as the
+    ascent workhorse; the loop stops once a full cycle neither moves the
+    iterate nor leaves a gap between the box view and the ball view (both
+    at most ``DYKSTRA_MOVEMENT_TOL``).
     """
     x = np.asarray(point, dtype=np.float64)
+    ball = params._replace(tau=math.inf)
     box_corr = np.zeros_like(x)
     ball_corr = np.zeros_like(x)
     ball_state: dict = {}
     prev = None
-    for _ in range(max_cycles):
+    for _ in range(_DYKSTRA_MAX_CYCLES):
         shifted = x + box_corr
         y = np.clip(shifted, 0.0, params.tau)
         box_corr = shifted - y
         shifted = y + ball_corr
-        x = project_pnorm_ball(shifted, params.p, params.gamma, state=ball_state)
+        x = project_feasible(shifted, ball, state=ball_state)
         ball_corr = shifted - x
         gap = float(np.max(np.abs(y - x)))
         if (
             prev is not None
-            and gap <= movement_tol
-            and float(np.max(np.abs(x - prev))) <= movement_tol
+            and gap <= DYKSTRA_MOVEMENT_TOL
+            and float(np.max(np.abs(x - prev))) <= DYKSTRA_MOVEMENT_TOL
         ):
             break
         prev = x
@@ -284,24 +244,20 @@ def constraint_violation(w: np.ndarray, params: ResolvedPooling) -> float:
     return max(neg, over_cap, over_ball)
 
 
-def maximize_primal(
-    losses,
-    config: PoolingConfig,
-    iters: int = 5000,
-    step: float = 1.0e6,
-) -> OracleReport:
+def maximize_primal(losses, config: PoolingConfig) -> OracleReport:
     """Projected gradient ascent on ``w . l`` over the weight family.
 
     The gradient is the loss vector itself, so each iteration steps along it
-    and projects back with :func:`project_feasible`.  ``step`` is relative to
-    the set size: the increment is ``step * gamma * l / ||l||_2``.  A fixed
-    point of the step-and-project map satisfies the variational optimality
-    condition of the linear objective over the convex compact feasible set
-    for any positive step, so large steps are not just admissible but make
-    the iteration contract hard; the default lands within rounding of the
-    maximiser in a handful of iterations.  Stops when the iterate stalls or
-    the value stops improving, and reports the best feasible value seen.
-    Requires finite ``p > 1``.
+    and projects back with :func:`project_feasible`.  The step is the
+    constant ``_ASCENT_STEP = 1e4`` relative to the set size: the increment
+    is ``_ASCENT_STEP * gamma * l / ||l||_2``.  A fixed point of the
+    step-and-project map satisfies the variational optimality condition of
+    the linear objective over the convex compact feasible set for any
+    positive step, so large steps are not just admissible but make the
+    iteration contract hard; this one lands within rounding of the maximiser
+    in a handful of iterations.  Stops when the iterate stalls or the value
+    stops improving, or after ``_ASCENT_ITERS`` iterations, and reports the
+    best feasible value seen.  Requires finite ``p > 1``.
     """
     values = as_loss_vector(losses)
     params = config.resolve(values.size)
@@ -318,7 +274,7 @@ def maximize_primal(
             converged=True,
             max_constraint_violation=constraint_violation(w, params),
         )
-    increment = (step * params.gamma / norm) * values
+    increment = (_ASCENT_STEP * params.gamma / norm) * values
 
     w = np.full(values.size, 1.0 / values.size)
     best_w = _restore_feasible(w, params)
@@ -327,7 +283,7 @@ def maximize_primal(
     converged = False
     stall = 0
     used = 0
-    for used in range(1, iters + 1):
+    for used in range(1, _ASCENT_ITERS + 1):
         w_new = project_feasible(w + increment, params, state=state)
         candidate = _restore_feasible(w_new, params)
         val = float(candidate @ values)
@@ -358,10 +314,10 @@ def _dual_path_value(alpha: float, values: np.ndarray, params: ResolvedPooling) 
     )
 
 
-def scan_dual_alpha(losses, config: PoolingConfig, grid_size: int = 1024) -> OracleReport:
+def scan_dual_alpha(losses, config: PoolingConfig) -> OracleReport:
     """Minimise the dual objective along the threshold path.
 
-    Evaluates ``g(max(l - alpha, 0))`` on a dense grid over
+    Evaluates ``g(max(l - alpha, 0))`` on ``_SCAN_GRID_SIZE`` points over
     ``[0, max(losses)]``, then golden-sections the bracket around the grid
     minimum.  Along this path the dual objective is unimodal, and its
     minimum equals the pooled value.  Requires ``p > 1``.
@@ -370,8 +326,6 @@ def scan_dual_alpha(losses, config: PoolingConfig, grid_size: int = 1024) -> Ora
     params = config.resolve(values.size)
     if math.isinf(params.q):
         raise ValueError("scan_dual_alpha needs p > 1 (finite conjugate exponent)")
-    if grid_size < 3:
-        raise ValueError(f"grid_size must be at least 3, got {grid_size!r}")
 
     top = float(values.max())
     if top == 0.0:
@@ -380,11 +334,11 @@ def scan_dual_alpha(losses, config: PoolingConfig, grid_size: int = 1024) -> Ora
             max_constraint_violation=0.0, alpha=0.0,
         )
 
-    alphas = np.linspace(0.0, top, grid_size)
+    alphas = np.linspace(0.0, top, _SCAN_GRID_SIZE)
     gvals = np.array([_dual_path_value(a, values, params) for a in alphas])
     k = int(np.argmin(gvals))
     lo = alphas[max(k - 1, 0)]
-    hi = alphas[min(k + 1, grid_size - 1)]
+    hi = alphas[min(k + 1, _SCAN_GRID_SIZE - 1)]
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -392,7 +346,7 @@ def scan_dual_alpha(losses, config: PoolingConfig, grid_size: int = 1024) -> Ora
     d = a + invphi * (b - a)
     fc = _dual_path_value(c, values, params)
     fd = _dual_path_value(d, values, params)
-    evals = grid_size + 2
+    evals = _SCAN_GRID_SIZE + 2
     while b - a > 1e-13 * max(1.0, top):
         if fc < fd:
             b, d, fd = d, c, fc
@@ -428,11 +382,6 @@ def kkt_residual(lam, losses, config: PoolingConfig) -> float:
     alpha = params.m ** (-1.0 / params.q) * stable_qnorm(values - lam_arr, params.q)
     fixed = np.maximum(values - alpha, 0.0)
     return float(np.max(np.abs(lam_arr - fixed)))
-
-
-def check_kkt(lam, losses, config: PoolingConfig, tol: float = 1e-6) -> bool:
-    """True when ``lam`` satisfies the dual fixed point within ``tol``."""
-    return kkt_residual(lam, losses, config) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -472,19 +421,11 @@ class AuditRow:
 @dataclass
 class AuditSummary:
     rows: list[AuditRow] = field(default_factory=list)
-    rel_tol: float = 1e-4
-    kkt_tol: float = 1e-6
     elapsed_seconds: float = 0.0
 
     @property
     def all_passed(self) -> bool:
         return all(row.passed for row in self.rows)
-
-    @property
-    def worst_rel_err(self) -> float:
-        if not self.rows:
-            return 0.0
-        return max(max(r.ascent_rel_err, r.scan_rel_err) for r in self.rows)
 
     @property
     def worst_ascent_err(self) -> float:
@@ -513,9 +454,6 @@ def run_audit(
     seed: int = 0,
     rel_tol: float = 1e-4,
     kkt_tol: float = 1e-6,
-    iters: int = 5000,
-    step: float = 1.0e4,
-    grid_size: int = 1024,
 ) -> AuditSummary:
     """Compare the solver against both oracles on seeded random instances.
 
@@ -525,13 +463,13 @@ def run_audit(
     on max-normalized losses).
     """
     rng = np.random.default_rng(seed)
-    summary = AuditSummary(rel_tol=rel_tol, kkt_tol=kkt_tol)
+    summary = AuditSummary()
     started = time.perf_counter()
     for idx in range(instances):
         losses, config = random_instance(rng)
         outcome = solve_pool(losses, config)
-        ascent = maximize_primal(losses, config, iters=iters, step=step)
-        scan = scan_dual_alpha(losses, config, grid_size=grid_size)
+        ascent = maximize_primal(losses, config)
+        scan = scan_dual_alpha(losses, config)
         err_a = rel_err(outcome.pooled_loss, ascent.value)
         err_s = rel_err(outcome.pooled_loss, scan.value)
         scale = float(losses.max())

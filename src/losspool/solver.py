@@ -277,8 +277,12 @@ def solve_pool(losses, config: PoolingConfig) -> SolveOutcome:
         # The cap equals the uniform weight here, so the optimum is the plain
         # mean; computing it directly keeps the upper bound exact at the
         # boundary and the weights exactly uniform.
+        # The mean is taken on losses scaled down by a power of two only when
+        # their sum could pass the float64 maximum, so it cannot overflow and
+        # keeps its bytes everywhere else.
         weights = np.full(n, 1.0 / n)
-        pooled = float(values.mean())
+        k = max(0, math.frexp(float(values.max()))[1] + (n - 1).bit_length() - 1024)
+        pooled = math.ldexp(float(np.ldexp(values, -k).mean()), k)
     else:
         # Scaling by tau first keeps every partial sum below the largest
         # loss (tau * |support| <= 1), so it cannot overflow.

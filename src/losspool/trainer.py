@@ -37,6 +37,7 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "TrainingDivergence",
+    "check_crop_pooling",
     "class_pixel_counts",
     "generate_dataset",
     "inverse_median_frequency_weights",
@@ -315,32 +316,39 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
+        """Build a config from a possibly partial dict.
+
+        Missing keys keep the defaults; a pooling dict that sets ``m`` gets
+        no ``m_fraction``.
+        """
+        default = cls()
         pooling = data.get("pooling") or {}
         sampler = data.get("sampler")
+        sampler_default = SamplerConfig()
         return cls(
-            loss_mode=data.get("loss_mode", "uniform"),
+            loss_mode=data.get("loss_mode", default.loss_mode),
             pooling=PoolingConfig(
-                p=float(pooling.get("p", 1.3)),
+                p=float(pooling.get("p", default.pooling.p)),
                 m=pooling.get("m"),
                 m_fraction=(
-                    pooling.get("m_fraction", 0.25)
+                    pooling.get("m_fraction", default.pooling.m_fraction)
                     if pooling.get("m") is None
                     else None
                 ),
             ),
-            lr0=float(data.get("lr0", 0.5)),
-            momentum=float(data.get("momentum", 0.9)),
-            poly_power=float(data.get("poly_power", 0.9)),
-            iterations=int(data.get("iterations", 80)),
-            batch_crops=int(data.get("batch_crops", 8)),
-            crop_size=tuple(data.get("crop_size", (12, 12))),
+            lr0=float(data.get("lr0", default.lr0)),
+            momentum=float(data.get("momentum", default.momentum)),
+            poly_power=float(data.get("poly_power", default.poly_power)),
+            iterations=int(data.get("iterations", default.iterations)),
+            batch_crops=int(data.get("batch_crops", default.batch_crops)),
+            crop_size=tuple(data.get("crop_size", default.crop_size)),
             sampler=None if sampler is None else SamplerConfig(
-                blend=float(sampler.get("blend", 0.5)),
-                epsilon=float(sampler.get("epsilon", 0.01)),
-                seed=int(sampler.get("seed", 0)),
+                blend=float(sampler.get("blend", sampler_default.blend)),
+                epsilon=float(sampler.get("epsilon", sampler_default.epsilon)),
+                seed=int(sampler.get("seed", sampler_default.seed)),
             ),
-            weight_decay=float(data.get("weight_decay", 1e-4)),
-            seed=int(data.get("seed", 0)),
+            weight_decay=float(data.get("weight_decay", default.weight_decay)),
+            seed=int(data.get("seed", default.seed)),
         )
 
 
@@ -395,6 +403,29 @@ def _clipped_window(center: int, size: int, limit: int) -> tuple[int, int]:
     return start, min(limit, start + size)
 
 
+def check_crop_pooling(
+    image_size: tuple[int, int], crop_size: tuple[int, int], pooling: PoolingConfig
+) -> None:
+    """Reject an absolute ``pooling.m`` beyond the smallest crop drawn.
+
+    Crops are clipped at the image border, so an anchor in the last row and
+    column keeps only ``crop // 2 + 1`` rows and columns (the whole side when
+    the image is shorter).  A fractional ``m`` resolves per crop and
+    always fits.
+    """
+    if pooling.m is None:
+        return
+    (h, w), (ch, cw) = image_size, crop_size
+    r0, r1 = _clipped_window(h - 1, ch, h)
+    c0, c1 = _clipped_window(w - 1, cw, w)
+    smallest = (r1 - r0) * (c1 - c0)
+    if pooling.m > smallest:
+        raise ValueError(
+            f"pooling m = {pooling.m!r} exceeds the {smallest} pixels of the "
+            f"smallest crop ({r1 - r0}x{c1 - c0} at the image corner)"
+        )
+
+
 def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
     """Momentum SGD over random crops with the configured loss reduction.
 
@@ -414,6 +445,8 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
     train_idx = np.asarray(dataset.train_indices)
     if train_idx.size == 0 or np.asarray(dataset.eval_indices).size == 0:
         raise ValueError("dataset must have non-empty train and eval splits")
+    if config.loss_mode == "lmp":
+        check_crop_pooling((h, w), config.crop_size, config.pooling)
 
     weights = np.zeros((num_features + 1, num_classes))
     velocity = np.zeros_like(weights)

@@ -202,6 +202,20 @@ class TestSolveCommand:
         assert "input error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mean_of_losses_near_float64_max_exits_0(self, tmp_path, capsys):
+        # Their sum passes the float64 maximum; the mean and the threshold
+        # (the sum over m) do not.
+        losses = write_losses(tmp_path / "l.csv", [1.7e308, 1.7e308, 1.0])
+        out = tmp_path / "solution.json"
+        code = main(
+            ["solve", "--losses", losses, "--p", "inf", "--m", "2",
+             "--output", str(out)]
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["pooled_loss"] == pytest.approx(1.7e308 / 3 * 2, rel=1e-15)
+        assert doc["weights"] == [1 / 3] * 3
+
     def test_value_error_from_the_solver_propagates(self, tmp_path, monkeypatch):
         def broken(values, config):
             raise ValueError("internal failure")
@@ -460,6 +474,73 @@ class TestOracleAuditCommand:
         assert row_sets[0] == row_sets[1]
 
 
+    def test_report_bytes_are_frozen(self, tmp_path, capsys):
+        """Every line of the report but the timing, row keys in field order."""
+        code = main(
+            ["oracle-audit", "--instances", "3", "--seed", "0",
+             "--output-dir", str(tmp_path)]
+        )
+        assert code == 0
+        lines = (tmp_path / "audit_report.json").read_bytes().splitlines(True)
+        assert lines[5].startswith(b'  "elapsed_seconds": ')
+        del lines[5]
+        assert b"".join(lines) == (
+            b'{\n'
+            b'  "instances": 3,\n'
+            b'  "seed": 0,\n'
+            b'  "rel_tol": 0.0001,\n'
+            b'  "kkt_tol": 9.9999999999999995e-07,\n'
+            b'  "all_passed": true,\n'
+            b'  "worst": {\n'
+            b'    "ascent_rel_err": 5.5369162120994978e-13,\n'
+            b'    "scan_rel_err": 3.4551130634036419e-16,\n'
+            b'    "kkt_residual": 1.1102230246251565e-16,\n'
+            b'    "constraint_violation": 0\n'
+            b'  },\n'
+            b'  "rows": [{\n'
+            b'    "index": 0,\n'
+            b'    "n": 43,\n'
+            b'    "p": 2,\n'
+            b'    "m": 38.391522784201278,\n'
+            b'    "solver_value": 0.55856187248097544,\n'
+            b'    "ascent_value": 0.55856187248097422,\n'
+            b'    "scan_value": 0.55856187248097544,\n'
+            b'    "ascent_rel_err": 2.1864101136428133e-15,\n'
+            b'    "scan_rel_err": 0,\n'
+            b'    "kkt_residual": 5.5511151231257827e-17,\n'
+            b'    "constraint_violation": 0,\n'
+            b'    "passed": true\n'
+            b'  }, {\n'
+            b'    "index": 1,\n'
+            b'    "n": 14,\n'
+            b'    "p": 1.3,\n'
+            b'    "m": 2.1797895930485849,\n'
+            b'    "solver_value": 3.1239906946507912,\n'
+            b'    "ascent_value": 3.1239906946490614,\n'
+            b'    "scan_value": 3.1239906946507907,\n'
+            b'    "ascent_rel_err": 5.5369162120994978e-13,\n'
+            b'    "scan_rel_err": 1.4215445987418481e-16,\n'
+            b'    "kkt_residual": 0,\n'
+            b'    "constraint_violation": 0,\n'
+            b'    "passed": true\n'
+            b'  }, {\n'
+            b'    "index": 2,\n'
+            b'    "n": 32,\n'
+            b'    "p": 1.7,\n'
+            b'    "m": 31.151493228511605,\n'
+            b'    "solver_value": 0.64265510520311153,\n'
+            b'    "ascent_value": 0.64265510520311109,\n'
+            b'    "scan_value": 0.64265510520311175,\n'
+            b'    "ascent_rel_err": 6.9102261268072858e-16,\n'
+            b'    "scan_rel_err": 3.4551130634036419e-16,\n'
+            b'    "kkt_residual": 1.1102230246251565e-16,\n'
+            b'    "constraint_violation": 0,\n'
+            b'    "passed": true\n'
+            b'  }]\n'
+            b'}\n'
+        )
+
+
 class TestTrainDemoCommand:
     def demo_args(self, tmp_path, extra=()):
         config = tmp_path / "demo.json"
@@ -530,6 +611,26 @@ class TestTrainDemoCommand:
         )
         assert code == 3
         assert fragment in capsys.readouterr().err
+
+    def clipped_crop_args(self, tmp_path, m, modes="uniform,lmp"):
+        # 24x24 images and 12x12 crops: a corner crop keeps 7x7 = 49 pixels.
+        config = tmp_path / "demo.json"
+        config.write_text(json.dumps(
+            {"train": {"iterations": 3, "pooling": {"p": 1.3, "m": m}}}
+        ))
+        return ["train-demo", "--seeds", "1", "--modes", modes,
+                "--config", str(config), "--output-dir", str(tmp_path / "out")]
+
+    def test_absolute_m_beyond_the_smallest_crop_exits_3(self, tmp_path, capsys):
+        assert main(self.clipped_crop_args(tmp_path, 60)) == 3
+        assert "smallest crop" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_absolute_m_of_the_smallest_crop_runs(self, tmp_path, capsys):
+        assert main(self.clipped_crop_args(tmp_path, 49)) == 0
+
+    def test_uniform_mode_ignores_the_pooling_m(self, tmp_path, capsys):
+        assert main(self.clipped_crop_args(tmp_path, 60, modes="uniform")) == 0
 
     def test_unknown_mode_exits_3(self, tmp_path, capsys):
         code = main(

@@ -13,13 +13,11 @@ import pytest
 
 from losspool import PoolingConfig, derive_parameters, solve_pool, stable_qnorm
 from losspool.oracle import (
-    check_kkt,
     constraint_violation,
     kkt_residual,
     maximize_primal,
     project_feasible,
     project_feasible_dykstra,
-    project_pnorm_ball,
     random_instance,
     rel_err,
     run_audit,
@@ -34,17 +32,24 @@ def random_params(rng, n=None):
     return derive_parameters(p, n, m=m)
 
 
+def ball(p, n, radius):
+    """Projection parameters of the p-norm ball alone: the cap lifted."""
+    return derive_parameters(p, n, m=1.0)._replace(gamma=radius, tau=math.inf)
+
+
 class TestBallProjection:
+    """The joint projection with ``tau = inf`` on non-negative points."""
+
     def test_inside_ball_is_identity(self):
-        v = np.array([0.1, -0.2, 0.05])
-        out = project_pnorm_ball(v, 2.0, radius=1.0)
+        v = np.array([0.1, 0.2, 0.05])
+        out = project_feasible(v, ball(2.0, 3, 1.0))
         np.testing.assert_array_equal(out, v)
         assert out is not v
 
     def test_euclidean_case_is_radial_scaling(self):
         rng = np.random.default_rng(1)
-        v = rng.normal(0.0, 1.0, 10) * 5.0
-        out = project_pnorm_ball(v, 2.0, radius=0.7)
+        v = np.abs(rng.normal(0.0, 1.0, 10)) * 5.0
+        out = project_feasible(v, ball(2.0, 10, 0.7))
         np.testing.assert_allclose(
             out, v * 0.7 / np.linalg.norm(v), rtol=1e-10
         )
@@ -53,16 +58,16 @@ class TestBallProjection:
     def test_lands_on_surface(self, p):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            v = rng.normal(0.0, 2.0, 15)
-            out = project_pnorm_ball(v, p, radius=0.5)
+            v = np.abs(rng.normal(0.0, 2.0, 15))
+            out = project_feasible(v, ball(p, 15, 0.5))
             np.testing.assert_allclose(stable_qnorm(out, p), 0.5, rtol=1e-9)
 
     @pytest.mark.parametrize("p", [1.3, 2.0, 4.0])
     def test_is_nearest_point(self, p):
-        """No random feasible point may be closer than the projection."""
+        """No random point of the ball, of either sign, may be closer."""
         rng = np.random.default_rng(3)
-        v = rng.normal(0.0, 2.0, 8)
-        out = project_pnorm_ball(v, p, radius=0.5)
+        v = np.abs(rng.normal(0.0, 2.0, 8))
+        out = project_feasible(v, ball(p, 8, 0.5))
         base = np.linalg.norm(v - out)
         for _ in range(200):
             z = rng.normal(0.0, 1.0, 8)
@@ -70,12 +75,6 @@ class TestBallProjection:
             if norm > 0.5:
                 z = z * (0.5 / norm) * rng.uniform(0.2, 1.0)
             assert np.linalg.norm(v - z) >= base - 1e-10
-
-    def test_rejects_p_one_and_infinity(self):
-        with pytest.raises(ValueError):
-            project_pnorm_ball(np.ones(3), 1.0, radius=1.0)
-        with pytest.raises(ValueError):
-            project_pnorm_ball(np.ones(3), math.inf, radius=1.0)
 
 
 class TestFeasibleProjection:
@@ -200,8 +199,6 @@ class TestDualScan:
     def test_validation(self):
         with pytest.raises(ValueError):
             scan_dual_alpha([1.0, 2.0], PoolingConfig(p=1.0, m=1.0))
-        with pytest.raises(ValueError):
-            scan_dual_alpha([1.0, 2.0], PoolingConfig(p=2.0, m=1.0), grid_size=2)
 
 
 class TestOracleAgreement:
@@ -234,14 +231,13 @@ class TestKkt:
         cfg = PoolingConfig(p=2.0, m=1.0)
         out = solve_pool(losses, cfg)
         assert kkt_residual(out.dual, losses, cfg) < 1e-12
-        assert check_kkt(out.dual, losses, cfg)
 
     def test_perturbed_dual_fails(self):
         losses = np.array([0.9, 0.3, 0.6, 0.1])
         cfg = PoolingConfig(p=1.7, m=2.0)
         out = solve_pool(losses, cfg)
         lam = out.dual + 0.05
-        assert not check_kkt(lam, losses, cfg, tol=1e-6)
+        assert kkt_residual(lam, losses, cfg) > 1e-6
 
     def test_zero_vector_fails_when_cap_binds(self):
         # With m = 2 the top loss reaches the cap, so the optimal dual has a
@@ -250,7 +246,7 @@ class TestKkt:
         cfg = PoolingConfig(p=2.0, m=2.0)
         out = solve_pool(losses, cfg)
         assert out.dual.max() > 0.0
-        assert not check_kkt(np.zeros(3), losses, cfg, tol=1e-6)
+        assert kkt_residual(np.zeros(3), losses, cfg) > 1e-6
 
     def test_random_optima_pass_normalized(self):
         rng = np.random.default_rng(11)
@@ -281,7 +277,7 @@ class TestAudit:
     def test_small_audit_passes(self):
         summary = run_audit(instances=25, seed=123)
         assert summary.all_passed
-        assert summary.worst_rel_err < 1e-8
+        assert max(summary.worst_ascent_err, summary.worst_scan_err) < 1e-8
         assert len(summary.rows) == 25
 
     def test_audit_is_reproducible(self):

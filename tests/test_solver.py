@@ -413,6 +413,14 @@ class TestLimits:
             assert out.pooled_loss == float(np.mean(losses))
             np.testing.assert_array_equal(out.weights, np.full(17, 1.0 / 17))
 
+    @pytest.mark.parametrize(
+        "config", [PoolingConfig(p=math.inf, m=2.0), PoolingConfig(p=2.0, m=3.0)]
+    )
+    def test_mean_near_float64_max_does_not_overflow(self, config):
+        out = solve_pool([1.7e308] * 3, config)
+        assert out.pooled_loss == pytest.approx(1.7e308, rel=1e-15)
+        np.testing.assert_array_equal(out.weights, np.full(3, 1.0 / 3))
+
     def test_p_one_m_one_is_exact_max(self):
         rng = np.random.default_rng(22)
         losses = rng.lognormal(0.0, 1.0, 25)

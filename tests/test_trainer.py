@@ -19,6 +19,7 @@ from losspool.trainer import (
     TrainConfig,
     TrainingDivergence,
     _clipped_window,
+    check_crop_pooling,
     class_pixel_counts,
     evaluate,
     generate_dataset,
@@ -189,6 +190,21 @@ class TestTrainConfig:
         assert back == config
         assert back.sampler is None
 
+    def test_empty_dict_gives_the_defaults(self):
+        assert TrainConfig.from_dict({}) == TrainConfig()
+
+    def test_partial_pooling_dicts_keep_the_other_defaults(self):
+        assert TrainConfig.from_dict(
+            {"pooling": {"p": 2.0}}
+        ).pooling == PoolingConfig(p=2.0, m_fraction=0.25)
+        assert TrainConfig.from_dict(
+            {"pooling": {"m": 100}}
+        ).pooling == PoolingConfig(p=1.3, m=100)
+
+    def test_partial_sampler_dict_keeps_the_other_defaults(self):
+        config = TrainConfig.from_dict({"sampler": {"blend": 0.5}})
+        assert config.sampler == SamplerConfig(blend=0.5, epsilon=0.01, seed=0)
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -245,6 +261,36 @@ class TestClippedWindow:
     )
     def test_windows_stay_in_bounds(self, center, size, limit, expected):
         assert _clipped_window(center, size, limit) == expected
+
+
+class TestCheckCropPooling:
+    @pytest.mark.parametrize(
+        "image_size,crop_size",
+        [((24, 24), (12, 12)), ((16, 20), (5, 8)), ((6, 6), (12, 12)), ((1, 9), (1, 1))],
+    )
+    def test_bound_is_the_smallest_window(self, image_size, crop_size):
+        (h, w), (ch, cw) = image_size, crop_size
+        smallest = min(
+            (r1 - r0) * (c1 - c0)
+            for r0, r1 in (_clipped_window(r, ch, h) for r in range(h))
+            for c0, c1 in (_clipped_window(c, cw, w) for c in range(w))
+        )
+        check_crop_pooling(image_size, crop_size, PoolingConfig(p=1.3, m=smallest))
+        with pytest.raises(ValueError, match="smallest crop"):
+            check_crop_pooling(
+                image_size, crop_size, PoolingConfig(p=1.3, m=smallest + 0.5)
+            )
+
+    def test_fractional_m_always_fits(self):
+        check_crop_pooling((24, 24), (12, 12), PoolingConfig(p=1.3, m_fraction=1.0))
+
+    def test_train_rejects_m_beyond_the_smallest_crop(self):
+        dataset = generate_dataset(small_spec())  # 16x16 images: 7x7 corner crops
+        config = TrainConfig(
+            loss_mode="lmp", pooling=PoolingConfig(p=1.3, m=50.0), iterations=1
+        )
+        with pytest.raises(ValueError, match="smallest crop"):
+            train(dataset, config)
 
 
 class TestTrain:
