@@ -5,11 +5,7 @@ from .solver import (
     ResolvedPooling,
     SolveOutcome,
     as_loss_vector,
-    derive_parameters,
-    dual_objective,
-    eta,
     solve_pool,
-    stable_qnorm,
 )
 
 __all__ = [
@@ -17,11 +13,7 @@ __all__ = [
     "ResolvedPooling",
     "SolveOutcome",
     "as_loss_vector",
-    "derive_parameters",
-    "dual_objective",
-    "eta",
     "solve_pool",
-    "stable_qnorm",
 ]
 
 __version__ = "0.1.0"

@@ -67,14 +67,17 @@ def _f17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _f9(x) -> str:
-    return np.format_float_positional(
-        float(x), precision=9, unique=False, fractional=False
-    )
-
-
 def _f9_sci(x) -> str:
     return np.format_float_scientific(float(x), precision=8, unique=False)
+
+
+def _f9(x) -> str:
+    # Positional only where that stays short: 1.7e308 would print as 310
+    # characters and 5e-324 as 334.
+    x = float(x)
+    if x != 0.0 and not 1e-4 <= abs(x) < 1e9:
+        return _f9_sci(x)
+    return np.format_float_positional(x, precision=9, unique=False, fractional=False)
 
 
 # Entries per piece when a 1-D array is streamed: only one piece's list and

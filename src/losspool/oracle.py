@@ -13,8 +13,11 @@ Two independent routes to the pooled value, used to audit
   section.  The dual objective is unimodal along this path and meets the
   primal value at the optimum.
 
-Neither route shares code or structure with the closed-form solver; that is
-the point.  :func:`project_feasible_dykstra` checks the projection itself by
+:func:`dual_objective` and :func:`kkt_residual` check a dual vector against
+the bound and the optimality fixed point.  None of this shares code or
+structure with the closed-form solver, which supplies only the config types,
+the input check and :func:`solve_pool`; that is the point.
+:func:`project_feasible_dykstra` checks the projection itself by
 alternating the box with the same projection run with the cap lifted.  The
 iteration counts, step size and grid size are module constants, set to what
 the audit runs.  This module is verification tooling, not part of the library
@@ -29,13 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import (
-    PoolingConfig,
-    ResolvedPooling,
-    as_loss_vector,
-    solve_pool,
-    stable_qnorm,
-)
+from .solver import PoolingConfig, ResolvedPooling, as_loss_vector, solve_pool
 
 __all__ = [
     "OracleReport",
@@ -43,6 +40,8 @@ __all__ = [
     "AuditSummary",
     "maximize_primal",
     "scan_dual_alpha",
+    "stable_qnorm",
+    "dual_objective",
     "kkt_residual",
     "project_feasible",
     "project_feasible_dykstra",
@@ -86,6 +85,15 @@ class OracleReport:
     converged: bool
     max_constraint_violation: float
     alpha: float | None = None
+
+
+def stable_qnorm(x: np.ndarray, q: float) -> float:
+    """``||x||_q`` for finite ``q >= 1``, scaled to avoid overflow/underflow."""
+    ax = np.abs(np.asarray(x, dtype=np.float64))
+    top = float(ax.max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    return top * float(np.sum((ax / top) ** q)) ** (1.0 / q)
 
 
 def _shrink_to_ball_surface(b: np.ndarray, nu: float, p: float) -> np.ndarray:
@@ -370,15 +378,36 @@ def scan_dual_alpha(losses, config: PoolingConfig) -> OracleReport:
     )
 
 
-def kkt_residual(lam, losses, config: PoolingConfig) -> float:
-    """Sup-norm residual of the dual fixed point ``lam = max(l - m**(-1/q) * ||l - lam||_q, 0)``."""
+def _dual_inputs(lam, losses, config: PoolingConfig, name: str):
+    """Validated ``(lam, losses, params)`` of a dual check; needs ``p > 1``."""
     values = as_loss_vector(losses)
     params = config.resolve(values.size)
     if math.isinf(params.q):
-        raise ValueError("kkt_residual needs p > 1 (finite conjugate exponent)")
+        raise ValueError(f"{name} needs p > 1 (finite conjugate exponent)")
     lam_arr = np.asarray(lam, dtype=np.float64)
     if lam_arr.shape != values.shape:
         raise ValueError("lam and losses must have the same shape")
+    return lam_arr, values, params
+
+
+def dual_objective(lam, losses, config: PoolingConfig) -> float:
+    """Dual bound ``tau * sum(lam) + gamma * ||l - lam||_q``.
+
+    Finite for any ``lam >= 0``; minimised (over the non-negative orthant) by
+    ``max(l - alpha_star, 0)``, where it meets the pooled value.  Requires
+    ``p > 1`` so that ``q`` is finite.
+    """
+    lam_arr, values, params = _dual_inputs(lam, losses, config, "dual_objective")
+    if not np.all(np.isfinite(lam_arr)) or np.any(lam_arr < 0):
+        raise ValueError("lam must be finite and non-negative")
+    return params.tau * float(lam_arr.sum()) + params.gamma * stable_qnorm(
+        values - lam_arr, params.q
+    )
+
+
+def kkt_residual(lam, losses, config: PoolingConfig) -> float:
+    """Sup-norm residual of the dual fixed point ``lam = max(l - m**(-1/q) * ||l - lam||_q, 0)``."""
+    lam_arr, values, params = _dual_inputs(lam, losses, config, "kkt_residual")
     alpha = params.m ** (-1.0 / params.q) * stable_qnorm(values - lam_arr, params.q)
     fixed = np.maximum(values - alpha, 0.0)
     return float(np.max(np.abs(lam_arr - fixed)))

@@ -74,14 +74,6 @@ class SegBatch:
                 f"[{checked.min()}, {checked.max()}]"
             )
 
-    @property
-    def num_pixels(self) -> int:
-        return self.logits.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.logits.shape[1]
-
 
 @dataclass(frozen=True)
 class PixelLossResult:

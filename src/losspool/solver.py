@@ -16,13 +16,17 @@ recovers the mean exactly.
 The maximiser has a water-filling structure.  There is a threshold
 ``alpha_star >= 0`` such that pixels with loss above the threshold sit at the
 cap ``tau`` (the "support"), while the rest get the shrunk weight
-``tau * (l / alpha_star) ** (q - 1)``.  :func:`solve_pool` finds the
-threshold exactly in ``O(n log n)`` by sorting the losses and scanning a
-running root function, see :func:`eta`.  The scan sums in logarithms, so
-it stays exact for every ``p`` in ``(1, inf]`` and for losses spanning the
-whole float64 range; ``p = 1`` selects the top ``m`` losses by comparison
-alone.  The optimal weights are also the gradient of the pooled value with
-respect to the losses, wherever the support does not change.
+``tau * (l / alpha_star) ** (q - 1)``.  With ``J_alpha = {u : l(u) > alpha}``,
+the threshold is the largest root of
+
+    (m - |J_alpha|) * alpha**q = sum of l(u)**q over u not in J_alpha,
+
+and :func:`solve_pool` finds it exactly in ``O(n log n)`` by sorting the
+losses and scanning them in order.  The scan sums in logarithms, so it stays
+exact for every ``p`` in ``(1, inf]`` and for losses spanning the whole
+float64 range; ``p = 1`` selects the top ``m`` losses by comparison alone.
+The optimal weights are also the gradient of the pooled value with respect
+to the losses, wherever the support does not change.
 
 Everything here is plain numpy on 1-D float64 arrays.
 """
@@ -41,11 +45,7 @@ __all__ = [
     "ResolvedPooling",
     "SolveOutcome",
     "as_loss_vector",
-    "derive_parameters",
-    "eta",
     "solve_pool",
-    "dual_objective",
-    "stable_qnorm",
 ]
 
 # q beyond this swaps to the top-floor(m) path of p = 1.  The scan's pooled
@@ -65,8 +65,8 @@ def as_loss_vector(values) -> np.ndarray:
     otherwise.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1) if arr.ndim == 0 else arr
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
     if arr.ndim != 1:
         raise ValueError(f"losses must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -95,69 +95,6 @@ class ResolvedPooling(NamedTuple):
     tau: float
 
 
-def derive_parameters(
-    p: float,
-    n: int,
-    m: float | None = None,
-    m_fraction: float | None = None,
-) -> ResolvedPooling:
-    """Resolve ``(p, m)`` against a batch of ``n`` losses.
-
-    Exactly one of ``m`` (absolute, must land in ``[1, n]``) or
-    ``m_fraction`` (relative to ``n``, clamped into ``[1, n]`` after scaling)
-    must be given.
-
-    Parameters
-    ----------
-    p : norm exponent in ``[1, inf]``.
-    n : number of pooled entries, ``n >= 1``.
-    m : absolute minimum support size.
-    m_fraction : support size as a fraction of ``n``, in ``[0, 1]``.
-
-    Returns
-    -------
-    ResolvedPooling with ``q``, ``gamma``, ``tau`` filled in.
-    """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
-    if not (p >= 1.0):
-        raise ValueError(f"p must satisfy p >= 1, got {p!r}")
-    if (m is None) == (m_fraction is None):
-        raise ValueError("exactly one of m and m_fraction must be given")
-    if m_fraction is not None:
-        if not (0.0 <= m_fraction <= 1.0):
-            raise ValueError(f"m_fraction must lie in [0, 1], got {m_fraction!r}")
-        m_res = min(max(m_fraction * n, 1.0), float(n))
-    else:
-        m_res = float(m)
-        if not (1.0 <= m_res <= n):
-            raise ValueError(f"m must lie in [1, n] = [1, {n}], got {m!r}")
-
-    if math.isinf(p):
-        # Dual exponent 1; cap and budget coincide, pooling is the plain mean.
-        return ResolvedPooling(p=p, n=n, m=m_res, q=1.0, gamma=1.0 / n, tau=1.0 / n)
-    if p == 1.0:
-        return ResolvedPooling(p=p, n=n, m=m_res, q=math.inf, gamma=1.0, tau=1.0 / m_res)
-
-    q = p / (p - 1.0)
-    if q > Q_CAP:
-        warnings.warn(
-            f"p = {p:g} gives conjugate exponent q = {q:.3g} beyond {Q_CAP:g}; "
-            "treating as p = 1 (hard top-m selection)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return ResolvedPooling(p=p, n=n, m=m_res, q=math.inf, gamma=1.0, tau=1.0 / m_res)
-    gamma = float(n) ** (-1.0 / q)
-    if m_res == n:
-        # gamma * n ** (-1/p) == 1/n algebraically; write it exactly.
-        tau = 1.0 / n
-    else:
-        tau = gamma * m_res ** (-1.0 / p)
-    return ResolvedPooling(p=p, n=n, m=m_res, q=q, gamma=gamma, tau=tau)
-
-
 @dataclass(frozen=True)
 class PoolingConfig:
     """Pooling strength, valid for any batch size.
@@ -182,8 +119,45 @@ class PoolingConfig:
             raise ValueError(f"m_fraction must lie in [0, 1], got {self.m_fraction!r}")
 
     def resolve(self, n: int) -> ResolvedPooling:
-        """Derive ``(q, gamma, tau, m)`` for a batch of ``n`` losses."""
-        return derive_parameters(self.p, n, m=self.m, m_fraction=self.m_fraction)
+        """Resolve ``(q, gamma, tau, m)`` against a batch of ``n >= 1`` losses.
+
+        An absolute ``m`` must not exceed ``n``; ``m_fraction`` is scaled by
+        ``n`` and clamped into ``[1, n]``.
+        """
+        if not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        n = int(n)
+        p = self.p
+        if self.m_fraction is not None:
+            m = min(max(self.m_fraction * n, 1.0), float(n))
+        else:
+            m = float(self.m)
+            if m > n:
+                raise ValueError(f"m must lie in [1, n] = [1, {n}], got {self.m!r}")
+
+        if math.isinf(p):
+            # Dual exponent 1; cap and budget coincide, pooling is the plain mean.
+            return ResolvedPooling(p=p, n=n, m=m, q=1.0, gamma=1.0 / n, tau=1.0 / n)
+        if p == 1.0:
+            return ResolvedPooling(p=p, n=n, m=m, q=math.inf, gamma=1.0, tau=1.0 / m)
+
+        q = p / (p - 1.0)
+        if q > Q_CAP:
+            # The warning points here, not at the caller, so a command that
+            # resolves the same config twice prints it once.
+            warnings.warn(
+                f"p = {p:g} gives conjugate exponent q = {q:.3g} beyond {Q_CAP:g}; "
+                "treating as p = 1 (hard top-m selection)",
+                RuntimeWarning,
+            )
+            return ResolvedPooling(p=p, n=n, m=m, q=math.inf, gamma=1.0, tau=1.0 / m)
+        gamma = float(n) ** (-1.0 / q)
+        if m == n:
+            # gamma * n ** (-1/p) == 1/n algebraically; write it exactly.
+            tau = 1.0 / n
+        else:
+            tau = gamma * m ** (-1.0 / p)
+        return ResolvedPooling(p=p, n=n, m=m, q=q, gamma=gamma, tau=tau)
 
 
 @dataclass(frozen=True)
@@ -197,7 +171,6 @@ class SolveOutcome:
     support : original indices of pixels pooled at the cap ``tau``.
     weights : optimal weighting, same length and order as the input losses.
     dual : optimal dual vector ``max(l - alpha_star, 0)``.
-    params : the resolved pooling parameters the solve ran with.
     """
 
     pooled_loss: float
@@ -205,37 +178,6 @@ class SolveOutcome:
     support: np.ndarray
     weights: np.ndarray
     dual: np.ndarray
-    params: ResolvedPooling
-
-
-def eta(alpha: float, losses, q: float, m: float) -> float:
-    """Root function of the pooling threshold.
-
-    For ``J_alpha = {u : l(u) > alpha}`` this returns
-
-        (m - |J_alpha|) * alpha**q - sum_{u not in J_alpha} l(u)**q.
-
-    The optimal threshold is the largest root.  ``eta`` is negative below it
-    and positive above it (once the prefix condition holds), which is what
-    the solve loop scans for.  ``q`` must be finite and at least 1.
-    """
-    if not (alpha >= 0.0):
-        raise ValueError(f"alpha must be non-negative, got {alpha!r}")
-    if not (1.0 <= q < math.inf):
-        raise ValueError(f"q must be finite and >= 1, got {q!r}")
-    values = as_loss_vector(losses)
-    above = values > alpha
-    below = values[~above]
-    return float((m - np.count_nonzero(above)) * alpha**q - np.sum(below**q))
-
-
-def stable_qnorm(x: np.ndarray, q: float) -> float:
-    """``||x||_q`` for finite ``q >= 1``, scaled to avoid overflow/underflow."""
-    ax = np.abs(np.asarray(x, dtype=np.float64))
-    top = float(ax.max(initial=0.0))
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((ax / top) ** q)) ** (1.0 / q)
 
 
 def solve_pool(losses, config: PoolingConfig) -> SolveOutcome:
@@ -265,7 +207,6 @@ def solve_pool(losses, config: PoolingConfig) -> SolveOutcome:
             support=np.empty(0, dtype=np.intp),
             weights=zero,
             dual=zero.copy(),
-            params=params,
         )
 
     if math.isinf(params.q):
@@ -295,14 +236,15 @@ def solve_pool(losses, config: PoolingConfig) -> SolveOutcome:
         support=support,
         weights=weights,
         dual=dual,
-        params=params,
     )
 
 
 def _solve_threshold_scan(values: np.ndarray, params: ResolvedPooling):
-    """Largest root of :func:`eta` by an ascending scan, for finite q.
+    """Largest root of the threshold equation by an ascending scan, for finite q.
 
-    With the losses sorted ascending as ``s``, ``c_k = m - n + k`` and
+    The threshold ``alpha`` solves ``(m - |J|) * alpha**q = sum(l**q)`` over
+    the losses not in ``J``, the set of losses above ``alpha``.  With the
+    losses sorted ascending as ``s``, ``c_k = m - n + k`` and
     ``A_k = s_1**q + ... + s_k**q``, the scan stops at the first ``k`` with
     ``c_k > A_k / s_k**q``; the losses from ``k`` on are capped.  ``A_k`` is
     accumulated as ``log A_k`` from ``q log s`` (``np.logaddexp``), so no
@@ -375,26 +317,3 @@ def _solve_hard_top(values: np.ndarray, params: ResolvedPooling):
         tied = order[lo: n - k]
         weights[tied] = tau * frac / tied.size
     return alpha, support, weights, tau * frac * alpha
-
-
-def dual_objective(lam, losses, config: PoolingConfig) -> float:
-    """Dual bound ``tau * sum(lam) + gamma * ||l - lam||_q``.
-
-    Finite for any ``lam >= 0``; minimised (over the non-negative orthant) by
-    ``max(l - alpha_star, 0)``, where it meets the pooled value.  Requires
-    ``p > 1`` so that ``q`` is finite.
-    """
-    values = as_loss_vector(losses)
-    params = config.resolve(values.size)
-    if math.isinf(params.q):
-        raise ValueError("dual_objective requires p > 1 (finite conjugate exponent)")
-    lam_arr = np.asarray(lam, dtype=np.float64)
-    if lam_arr.shape != values.shape:
-        raise ValueError(
-            f"lam has shape {lam_arr.shape}, losses have shape {values.shape}"
-        )
-    if not np.all(np.isfinite(lam_arr)) or np.any(lam_arr < 0):
-        raise ValueError("lam must be finite and non-negative")
-    return params.tau * float(lam_arr.sum()) + params.gamma * stable_qnorm(
-        values - lam_arr, params.q
-    )

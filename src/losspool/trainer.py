@@ -45,7 +45,6 @@ __all__ = [
     "train",
     "evaluate",
     "save_model",
-    "load_model",
 ]
 
 LOSS_MODES = ("uniform", "inverse_median_freq", "lmp")
@@ -570,12 +569,3 @@ def save_model(path, weights: np.ndarray, seed: int, config_echo: dict) -> None:
         fh.write(json.dumps(header).encode())
         fh.write(b"\n")
         fh.write(weights.astype("<f8").tobytes())
-
-
-def load_model(path) -> tuple[np.ndarray, dict]:
-    """Read a model written by :func:`save_model`; returns (weights, header)."""
-    raw = Path(path).read_bytes()
-    newline = raw.index(b"\n")
-    header = json.loads(raw[:newline].decode())
-    weights = np.frombuffer(raw[newline + 1:], dtype="<f8").reshape(header["shape"])
-    return weights.copy(), header

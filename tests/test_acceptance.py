@@ -10,8 +10,9 @@ import time
 import numpy as np
 import pytest
 
+from helpers import eta
 from losspool.cli import main
-from losspool.oracle import kkt_residual, random_instance, rel_err, run_audit
+from losspool.oracle import dual_objective, kkt_residual, random_instance, rel_err, run_audit
 from losspool.pixel_losses import SegBatch, backprop_pooled, softmax_xent
 from losspool.sampler import (
     ClassStats,
@@ -20,7 +21,7 @@ from losspool.sampler import (
     sample_class,
     update_stats,
 )
-from losspool.solver import PoolingConfig, dual_objective, eta, solve_pool
+from losspool.solver import PoolingConfig, solve_pool
 from losspool.trainer import SyntheticDatasetSpec, TrainConfig, generate_dataset, train
 
 

@@ -135,6 +135,20 @@ class TestSolveCommand:
         assert code == 0
         assert capsys.readouterr().out.strip() == "3.00000000"
 
+    @pytest.mark.parametrize(
+        "loss, printed",
+        [(1.7e308, "1.70000000e+308"), (5e-324, "4.94065646e-324"),
+         (1e-4, "0.000100000000"), (1e9, "1.00000000e+09")],
+    )
+    def test_positional_only_from_1e_minus_4_below_1e9(
+        self, tmp_path, capsys, loss, printed
+    ):
+        # m = n pools to the mean, which is the loss itself.
+        losses = write_losses(tmp_path / "l.csv", [loss] * 3)
+        code = main(["solve", "--losses", losses, "--p", "2", "--m", "3"])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == printed
+
     def test_output_json_schema_and_round_trip(self, tmp_path, capsys):
         losses = write_losses(tmp_path / "l.csv", [0.3, 1.1, 2.4, 0.7, 3.9])
         out = tmp_path / "solution.json"
@@ -200,6 +214,19 @@ class TestSolveCommand:
         )
         assert code == 2
         assert "input error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_p_threshold_beyond_float64_exits_2(self, tmp_path, capsys):
+        # At p = inf the pooled value is the mean, but alpha_star is the
+        # threshold of the fixed point the KKT check uses: here sum / m.
+        losses = write_losses(tmp_path / "l.csv", [1.7e308] * 3)
+        out = tmp_path / "solution.json"
+        code = main(
+            ["solve", "--losses", losses, "--p", "inf", "--m", "2",
+             "--output", str(out)]
+        )
+        assert code == 2
+        assert "alpha_star inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_mean_of_losses_near_float64_max_exits_0(self, tmp_path, capsys):
@@ -640,27 +667,42 @@ class TestTrainDemoCommand:
         assert code == 3
 
 
+def run_module(*argv):
+    """Run ``python -m losspool *argv`` in a child process."""
+    # The autouse fixture has changed directory, so a relative PYTHONPATH
+    # (such as ``src``) no longer resolves; point the child at the
+    # directory that holds the package this process imported.
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(losspool.__file__)))
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "losspool", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
 class TestInstalledEntryPoint:
     def test_module_invocation(self, tmp_path):
         losses = write_losses(tmp_path / "l.csv", [3.0, 1.0])
-        # The autouse fixture has changed directory, so a relative PYTHONPATH
-        # (such as ``src``) no longer resolves; point the child at the
-        # directory that holds the package this process imported.
-        package_root = os.path.dirname(
-            os.path.dirname(os.path.abspath(losspool.__file__))
-        )
-        env = os.environ.copy()
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, env.get("PYTHONPATH")])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "losspool", "solve",
-             "--losses", losses, "--p", "2", "--m", "1",
-             "--output-dir", str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
+        proc = run_module(
+            "solve", "--losses", losses, "--p", "2", "--m", "1",
+            "--output-dir", str(tmp_path),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "2.23606798", proc.stderr
+
+    def test_conjugate_cap_warns_once(self, tmp_path):
+        # cmd_solve resolves the config before solve_pool resolves it again;
+        # both warn from the same line, so the default filter shows it once.
+        losses = write_losses(tmp_path / "l.csv", np.linspace(0.1, 2.0, 20))
+        proc = run_module(
+            "solve", "--losses", losses, "--p", "1.00005", "--m", "10",
+            "--output-dir", str(tmp_path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("RuntimeWarning") == 1, proc.stderr

@@ -2,16 +2,22 @@
 
 The oracles exist to check the solver, so most of these tests make sure the
 oracles themselves are trustworthy: the projections really are nearest
-points, the two independent routes agree with each other, and the audit
-harness flags nothing on seeded random instances.
+points, the two independent routes agree with each other, the audit
+harness flags nothing on seeded random instances, and the oracle module
+takes nothing numeric from the solver module.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from losspool import PoolingConfig, derive_parameters, solve_pool, stable_qnorm
+import losspool
+import losspool.oracle
+import losspool.solver
+from losspool import PoolingConfig, solve_pool
 from losspool.oracle import (
     constraint_violation,
     kkt_residual,
@@ -22,6 +28,7 @@ from losspool.oracle import (
     rel_err,
     run_audit,
     scan_dual_alpha,
+    stable_qnorm,
 )
 
 
@@ -29,12 +36,12 @@ def random_params(rng, n=None):
     n = n or int(rng.integers(2, 30))
     p = float(rng.choice([1.3, 2.0, 4.0]))
     m = float(rng.uniform(1.0, n))
-    return derive_parameters(p, n, m=m)
+    return PoolingConfig(p=p, m=m).resolve(n)
 
 
 def ball(p, n, radius):
     """Projection parameters of the p-norm ball alone: the cap lifted."""
-    return derive_parameters(p, n, m=1.0)._replace(gamma=radius, tau=math.inf)
+    return PoolingConfig(p=p, m=1.0).resolve(n)._replace(gamma=radius, tau=math.inf)
 
 
 class TestBallProjection:
@@ -79,7 +86,7 @@ class TestBallProjection:
 
 class TestFeasibleProjection:
     def test_feasible_point_is_fixed(self):
-        params = derive_parameters(2.0, 4, m=2.0)
+        params = PoolingConfig(p=2.0, m=2.0).resolve(4)
         w = np.full(4, 0.25)
         out = project_feasible(w, params)
         np.testing.assert_allclose(out, w, atol=1e-12)
@@ -90,7 +97,7 @@ class TestFeasibleProjection:
         With p = 2 and the cap slack, the joint projection reduces to radial
         scaling, which pins down the exact answer.
         """
-        params = derive_parameters(2.0, 2, m=1.0)
+        params = PoolingConfig(p=2.0, m=1.0).resolve(2)
         point = np.array([30000.5, 10000.5])
         out = project_feasible(point, params)
         expected = params.gamma * point / np.linalg.norm(point)
@@ -102,7 +109,7 @@ class TestFeasibleProjection:
         rng = np.random.default_rng(4)
         for _ in range(20):
             n = int(rng.integers(2, 25))
-            params = derive_parameters(p, n, m=float(rng.uniform(1.0, n)))
+            params = PoolingConfig(p=p, m=float(rng.uniform(1.0, n))).resolve(n)
             point = rng.normal(0.0, 1.0, n) * rng.choice([0.1, 1.0, 100.0])
             out = project_feasible(point, params)
             assert constraint_violation(out, params) <= 1e-9
@@ -111,7 +118,7 @@ class TestFeasibleProjection:
     def test_is_nearest_feasible_point(self, p):
         rng = np.random.default_rng(5)
         n = 10
-        params = derive_parameters(p, n, m=3.0)
+        params = PoolingConfig(p=p, m=3.0).resolve(n)
         point = rng.normal(0.2, 0.5, n)
         out = project_feasible(point, params)
         base = np.linalg.norm(point - out)
@@ -132,7 +139,7 @@ class TestFeasibleProjection:
         rng = np.random.default_rng(6)
         for _ in range(10):
             n = int(rng.integers(2, 15))
-            params = derive_parameters(p, n, m=float(rng.uniform(1.0, n)))
+            params = PoolingConfig(p=p, m=float(rng.uniform(1.0, n))).resolve(n)
             point = rng.normal(0.0, 2.0 * params.tau, n)
             exact = project_feasible(point, params)
             reference = project_feasible_dykstra(point, params)
@@ -140,7 +147,7 @@ class TestFeasibleProjection:
 
     def test_warm_state_matches_cold(self):
         rng = np.random.default_rng(7)
-        params = derive_parameters(1.7, 12, m=4.0)
+        params = PoolingConfig(p=1.7, m=4.0).resolve(12)
         state: dict = {}
         for _ in range(5):
             point = rng.normal(0.5, 1.0, 12)
@@ -150,9 +157,9 @@ class TestFeasibleProjection:
 
     def test_rejects_p_one_and_infinity(self):
         with pytest.raises(ValueError):
-            project_feasible(np.ones(3), derive_parameters(1.0, 3, m=2.0))
+            project_feasible(np.ones(3), PoolingConfig(p=1.0, m=2.0).resolve(3))
         with pytest.raises(ValueError):
-            project_feasible(np.ones(3), derive_parameters(math.inf, 3, m=2.0))
+            project_feasible(np.ones(3), PoolingConfig(p=math.inf, m=2.0).resolve(3))
 
 
 class TestPrimalAscent:
@@ -285,3 +292,42 @@ class TestAudit:
         b = run_audit(instances=10, seed=7)
         assert [r.solver_value for r in a.rows] == [r.solver_value for r in b.rows]
         assert [r.ascent_value for r in a.rows] == [r.ascent_value for r in b.rows]
+
+
+def imports_from(module, target):
+    """Names ``module`` imports from the sibling module ``target``.
+
+    Importing ``target`` as a whole shows up as the name ``"<module>"``.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module if node.level == 0 else (
+                f"losspool.{node.module}" if node.module else "losspool"
+            )
+            if source == f"losspool.{target}":
+                names.update(alias.name for alias in node.names)
+            elif source == "losspool" and any(a.name == target for a in node.names):
+                names.add("<module>")
+        elif isinstance(node, ast.Import):
+            if any(a.name == f"losspool.{target}" for a in node.names):
+                names.add("<module>")
+    return names
+
+
+class TestIndependence:
+    """The oracles check the solver, so they must not borrow its numerics."""
+
+    def test_oracle_takes_only_the_config_and_the_solve_from_the_solver(self):
+        assert imports_from(losspool.oracle, "solver") == {
+            "PoolingConfig", "ResolvedPooling", "as_loss_vector", "solve_pool",
+        }
+
+    def test_solver_imports_nothing_from_the_oracle(self):
+        assert imports_from(losspool.solver, "oracle") == set()
+
+    def test_package_exports_only_the_solver_api(self):
+        assert sorted(losspool.__all__) == [
+            "PoolingConfig", "ResolvedPooling", "SolveOutcome", "as_loss_vector",
+            "solve_pool",
+        ]

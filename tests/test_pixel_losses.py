@@ -20,8 +20,7 @@ class TestSegBatch:
         batch = SegBatch(logits=[[0.0, 1.0], [2.0, 0.0]], labels=[0, 1])
         assert batch.valid.dtype == bool
         assert batch.valid.all()
-        assert batch.num_pixels == 2
-        assert batch.num_classes == 2
+        assert batch.logits.shape == (2, 2)
 
     def test_logits_coerced_to_float64(self):
         batch = SegBatch(logits=np.zeros((3, 4), dtype=np.float32), labels=[0, 1, 2])

@@ -19,15 +19,9 @@ import pytest
 from mpmath import mp, mpf
 from mpmath import power as mpow
 
-from losspool import (
-    PoolingConfig,
-    as_loss_vector,
-    derive_parameters,
-    dual_objective,
-    eta,
-    solve_pool,
-    stable_qnorm,
-)
+from helpers import eta
+from losspool import PoolingConfig, as_loss_vector, solve_pool
+from losspool.oracle import dual_objective, stable_qnorm
 
 
 def reference_solve(losses, p, m, dps=60):
@@ -92,26 +86,28 @@ class TestAsLossVector:
 
 
 class TestDeriveParameters:
+    """``PoolingConfig.resolve``: ``(q, gamma, tau, m)`` for a batch size."""
+
     def test_frozen_p2(self):
-        r = derive_parameters(2.0, 2, m=1.0)
+        r = PoolingConfig(p=2.0, m=1.0).resolve(2)
         assert r.q == 2.0
         np.testing.assert_allclose(r.gamma, 0.7071067811865476, rtol=1e-15)
         np.testing.assert_allclose(r.tau, 0.7071067811865476, rtol=1e-15)
 
     def test_frozen_quarter_fraction(self):
         """25% of a 100-pixel batch at p = 1.3."""
-        r = derive_parameters(1.3, 100, m_fraction=0.25)
+        r = PoolingConfig(p=1.3, m_fraction=0.25).resolve(100)
         assert r.m == 25.0
         np.testing.assert_allclose(r.q, 13.0 / 3.0, rtol=1e-15)
         np.testing.assert_allclose(r.gamma, 0.3455107294592219, rtol=1e-15)
         np.testing.assert_allclose(r.tau, 0.029048457122286504, rtol=1e-15)
 
     def test_p_infinity_collapses_to_mean_weights(self):
-        r = derive_parameters(math.inf, 7, m=3.0)
+        r = PoolingConfig(p=math.inf, m=3.0).resolve(7)
         assert (r.q, r.gamma, r.tau) == (1.0, 1.0 / 7, 1.0 / 7)
 
     def test_p_one_hard_selection(self):
-        r = derive_parameters(1.0, 10, m=4.0)
+        r = PoolingConfig(p=1.0, m=4.0).resolve(10)
         assert math.isinf(r.q)
         assert (r.gamma, r.tau) == (1.0, 0.25)
 
@@ -119,16 +115,16 @@ class TestDeriveParameters:
         # gamma * n**(-1/p) equals 1/n only up to rounding if computed the
         # long way; the resolved tau must be exactly 1/n.
         for p in (1.3, 2.0, 7.0):
-            r = derive_parameters(p, 12, m=12.0)
+            r = PoolingConfig(p=p, m=12.0).resolve(12)
             assert r.tau == 1.0 / 12.0
 
     def test_fraction_clamps_to_at_least_one(self):
-        r = derive_parameters(2.0, 3, m_fraction=0.01)
+        r = PoolingConfig(p=2.0, m_fraction=0.01).resolve(3)
         assert r.m == 1.0
 
     def test_fraction_endpoints(self):
-        assert derive_parameters(2.0, 8, m_fraction=0.0).m == 1.0
-        assert derive_parameters(2.0, 8, m_fraction=1.0).m == 8.0
+        assert PoolingConfig(p=2.0, m_fraction=0.0).resolve(8).m == 1.0
+        assert PoolingConfig(p=2.0, m_fraction=1.0).resolve(8).m == 8.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -144,26 +140,22 @@ class TestDeriveParameters:
     )
     def test_invalid_m(self, kwargs):
         with pytest.raises(ValueError):
-            derive_parameters(2.0, 10, **kwargs)
+            PoolingConfig(p=2.0, **kwargs).resolve(10)
 
     def test_invalid_p_and_n(self):
         with pytest.raises(ValueError):
-            derive_parameters(0.9, 10, m=2.0)
+            PoolingConfig(p=0.9, m=2.0).resolve(10)
         with pytest.raises(ValueError):
-            derive_parameters(2.0, 0, m=1.0)
+            PoolingConfig(p=2.0, m=1.0).resolve(0)
 
     def test_huge_conjugate_exponent_warns_and_hardens(self):
         with pytest.warns(RuntimeWarning, match="conjugate exponent"):
-            r = derive_parameters(1.00005, 10, m=4.0)
+            r = PoolingConfig(p=1.00005, m=4.0).resolve(10)
         assert math.isinf(r.q)
         assert r.tau == 0.25
 
 
 class TestPoolingConfig:
-    def test_resolve_matches_derive(self):
-        cfg = PoolingConfig(p=1.7, m_fraction=0.25)
-        assert cfg.resolve(40) == derive_parameters(1.7, 40, m_fraction=0.25)
-
     def test_frozen(self):
         cfg = PoolingConfig(p=2.0, m=1.0)
         with pytest.raises(AttributeError):
@@ -322,7 +314,7 @@ class TestInvariants:
     def test_weights_feasible_and_consistent(self):
         for losses, cfg in self.instances(150, seed=12):
             out = solve_pool(losses, cfg)
-            pr = out.params
+            pr = cfg.resolve(losses.size)
             assert np.all(out.weights >= 0.0)
             assert out.weights.max() <= pr.tau * (1.0 + 1e-9)
             norm = (
@@ -338,7 +330,7 @@ class TestInvariants:
     def test_support_size(self):
         for losses, cfg in self.instances(150, seed=13):
             out = solve_pool(losses, cfg)
-            pr = out.params
+            pr = cfg.resolve(losses.size)
             if np.all(losses > 0):
                 assert np.count_nonzero(out.weights > 0) >= math.ceil(pr.m)
             if 1.0 < pr.p < math.inf and pr.q < math.inf:
@@ -461,14 +453,6 @@ class TestEta:
     def test_positive_above_threshold(self):
         assert eta(4.0, [1.0, 3.0], q=2.0, m=1.0) > 0.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            eta(-0.1, [1.0], q=2.0, m=1.0)
-        with pytest.raises(ValueError):
-            eta(1.0, [1.0], q=math.inf, m=1.0)
-        with pytest.raises(ValueError):
-            eta(1.0, [1.0], q=0.5, m=1.0)
-
     def test_solver_threshold_is_largest_root(self):
         """eta vanishes at alpha_star and is positive just above it."""
         rng = np.random.default_rng(30)
@@ -478,13 +462,14 @@ class TestEta:
             p = float(rng.choice([1.1, 1.3, 2.0, 4.0]))
             cfg = PoolingConfig(p=p, m=float(rng.uniform(1.0, n)))
             out = solve_pool(losses, cfg)
+            pr = cfg.resolve(n)
             scale = losses.max()
             if scale == 0.0 or out.alpha_star == 0.0:
                 continue
             alpha_n = out.alpha_star / scale
-            assert abs(eta(alpha_n, losses / scale, out.params.q, out.params.m)) < 1e-9
+            assert abs(eta(alpha_n, losses / scale, pr.q, pr.m)) < 1e-9
             for factor in (2.0, 10.0):
-                assert eta(factor * alpha_n, losses / scale, out.params.q, out.params.m) > 0.0
+                assert eta(factor * alpha_n, losses / scale, pr.q, pr.m) > 0.0
 
 
 class TestDualObjective:
