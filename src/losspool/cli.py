@@ -204,7 +204,7 @@ def parse_pooling(p_token: str, m_token: str) -> PoolingConfig:
     """Build a PoolingConfig from command-line tokens.
 
     ``p`` accepts any float spelling including "inf".  ``m`` accepts an
-    absolute count ("25") or a percentage of the valid pixels ("25%").
+    absolute count ("25") or a percentage of the losses ("25%").
     """
     try:
         p = float(p_token)
@@ -484,11 +484,9 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
         train_options["iterations"] = _option(merged, "iterations", int)
 
     try:
-        base_spec = SyntheticDatasetSpec.from_dict(
-            {**SyntheticDatasetSpec().to_dict(), **dataset_options}
-        )
+        base_spec = SyntheticDatasetSpec.from_dict(dataset_options)
         class_pixel_counts(base_spec)  # rejects a class rounded to 0 pixels
-        base_train = TrainConfig.from_dict({**TrainConfig().to_dict(), **train_options})
+        base_train = TrainConfig.from_dict(train_options)
         mode_configs = [
             dataclasses.replace(base_train, loss_mode=mode) for mode in modes
         ]
@@ -496,7 +494,7 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
             check_crop_pooling(
                 base_spec.image_size, base_train.crop_size, base_train.pooling
             )
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ParameterError(f"invalid demo config: {exc}") from exc
 
     out_dir = _output_dir(merged)
@@ -508,10 +506,7 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
         + ",mean_iou"
     ]
     for seed in seeds:
-        spec = SyntheticDatasetSpec.from_dict(
-            {**base_spec.to_dict(), "seed": 100 + seed}
-        )
-        dataset = generate_dataset(spec)
+        dataset = generate_dataset(dataclasses.replace(base_spec, seed=100 + seed))
         for mode, mode_config in zip(modes, mode_configs):
             config = dataclasses.replace(mode_config, seed=seed)
             report = train(dataset, config)

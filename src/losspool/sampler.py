@@ -23,6 +23,8 @@ __all__ = [
     "SamplerConfig",
     "CropIndex",
     "CropAnchor",
+    "confusion_counts",
+    "confusion_iou",
     "update_stats",
     "class_distribution",
     "sample_class",
@@ -48,15 +50,8 @@ class ClassStats:
 
     @property
     def iou(self) -> np.ndarray:
-        """Per-class TP / (TP + FP + FN); classes never seen count as 1."""
-        tp = np.diag(self.confusion)
-        fp = self.confusion.sum(axis=0) - tp
-        fn = self.confusion.sum(axis=1) - tp
-        union = tp + fp + fn
-        out = np.ones(self.num_classes)
-        seen = union > 0
-        out[seen] = tp[seen] / union[seen]
-        return out
+        """Per-class IoU of the decayed counts; classes never seen count as 1."""
+        return confusion_iou(self.confusion)[0]
 
     @property
     def present(self) -> np.ndarray:
@@ -64,8 +59,32 @@ class ClassStats:
         return self.confusion.sum(axis=1) > 0
 
 
-def update_stats(stats: ClassStats, predictions, labels, valid=None) -> ClassStats:
-    """Decay the confusion counts, then add this batch's valid pixels.
+def confusion_counts(labels, predictions, num_classes: int) -> np.ndarray:
+    """Integer confusion matrix ``[true, predicted]`` of two id vectors."""
+    flat = labels * num_classes + predictions
+    return np.bincount(flat, minlength=num_classes * num_classes).reshape(
+        num_classes, num_classes
+    )
+
+
+def confusion_iou(confusion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class TP / (TP + FP + FN) of a confusion matrix (rows = true class).
+
+    Also returns the mask of classes whose union is non-empty; the others
+    read 1.
+    """
+    tp = np.diag(confusion)
+    fp = confusion.sum(axis=0) - tp
+    fn = confusion.sum(axis=1) - tp
+    union = tp + fp + fn
+    seen = union > 0
+    iou = np.ones(confusion.shape[0])
+    iou[seen] = tp[seen] / union[seen]
+    return iou, seen
+
+
+def update_stats(stats: ClassStats, predictions, labels) -> ClassStats:
+    """Decay the confusion counts, then add this batch's pixels.
 
     Returns the same (mutated) stats object and appends the refreshed IoU
     vector to ``iou_history``.
@@ -74,22 +93,14 @@ def update_stats(stats: ClassStats, predictions, labels, valid=None) -> ClassSta
     labels = np.asarray(labels).reshape(-1)
     if predictions.shape != labels.shape:
         raise ValueError("predictions and labels must have equal length")
-    if valid is None:
-        valid = np.ones(labels.shape, dtype=bool)
-    else:
-        valid = np.asarray(valid, dtype=bool).reshape(-1)
-        if valid.shape != labels.shape:
-            raise ValueError("valid mask must match labels in length")
-
-    pred_v = predictions[valid]
-    true_v = labels[valid]
     c = stats.num_classes
-    if pred_v.size:
-        if pred_v.min() < 0 or pred_v.max() >= c or true_v.min() < 0 or true_v.max() >= c:
-            raise ValueError(f"class ids must lie in [0, {c})")
+    if labels.size and (
+        min(predictions.min(), labels.min()) < 0 or max(predictions.max(), labels.max()) >= c
+    ):
+        raise ValueError(f"class ids must lie in [0, {c})")
 
     stats.confusion *= stats.decay
-    np.add.at(stats.confusion, (true_v, pred_v), 1.0)
+    stats.confusion += confusion_counts(labels, predictions, c)
     stats.iou_history.append(stats.iou.tolist())
     return stats
 

@@ -22,13 +22,22 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .pixel_losses import SegBatch, backprop_pooled, softmax_xent
-from .sampler import ClassStats, CropIndex, SamplerConfig, pick_crop, sample_class, update_stats
+from .sampler import (
+    ClassStats,
+    CropIndex,
+    SamplerConfig,
+    confusion_counts,
+    confusion_iou,
+    pick_crop,
+    sample_class,
+    update_stats,
+)
 from .solver import PoolingConfig, solve_pool
 
 __all__ = [
@@ -52,6 +61,22 @@ LOSS_MODES = ("uniform", "inverse_median_freq", "lmp")
 
 class TrainingDivergence(RuntimeError):
     """Raised when the optimisation produces a non-finite loss or weights."""
+
+
+def _check_keys(cls, data: dict, where: str) -> None:
+    """Reject a ``data`` that is not a dict or names a field ``cls`` lacks."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{where} must be a dict, got {type(data).__name__}")
+    names = {f.name for f in fields(cls)}
+    for key in data:
+        if key not in names:
+            raise ValueError(f"unknown key {key!r} in {where}")
+
+
+def _fields_over(default, data: dict, where: str) -> dict:
+    """The fields ``data`` sets, each cast to the type of its value in ``default``."""
+    _check_keys(type(default), data, where)
+    return {key: type(getattr(default, key))(value) for key, value in data.items()}
 
 
 @dataclass(frozen=True)
@@ -95,28 +120,11 @@ class SyntheticDatasetSpec:
         if self.shape_kind not in ("blob", "stripe"):
             raise ValueError(f"unknown shape_kind {self.shape_kind!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "classes": self.classes,
-            "image_size": list(self.image_size),
-            "images": self.images,
-            "class_pixel_fractions": list(self.class_pixel_fractions),
-            "feature_noise": self.feature_noise,
-            "shape_kind": self.shape_kind,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticDatasetSpec":
-        return cls(
-            classes=int(data["classes"]),
-            image_size=tuple(data["image_size"]),
-            images=int(data["images"]),
-            class_pixel_fractions=tuple(data["class_pixel_fractions"]),
-            feature_noise=float(data["feature_noise"]),
-            shape_kind=str(data["shape_kind"]),
-            seed=int(data["seed"]),
-        )
+        """Build a spec from a possibly partial dict; missing keys keep the
+        defaults and a key that is not a field raises ``ValueError``."""
+        return cls(**_fields_over(cls(), data, "dataset"))
 
 
 def class_pixel_counts(spec: SyntheticDatasetSpec) -> np.ndarray:
@@ -251,7 +259,7 @@ class TrainConfig:
 
     Defaults follow the usual segmentation recipe: momentum 0.9, poly decay
     with power 0.9, and for the pooled mode p = 1.3 with m = 25% of the
-    valid pixels in each crop.  ``sampler = None`` draws crop anchors
+    pixels in each crop.  ``sampler = None`` draws crop anchors
     uniformly; a :class:`SamplerConfig` enables IoU-driven class anchoring.
     """
 
@@ -286,46 +294,21 @@ class TrainConfig:
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
 
-    def to_dict(self) -> dict:
-        pooling = {
-            "p": self.pooling.p,
-            "m": self.pooling.m,
-            "m_fraction": self.pooling.m_fraction,
-        }
-        sampler = None
-        if self.sampler is not None:
-            sampler = {
-                "blend": self.sampler.blend,
-                "epsilon": self.sampler.epsilon,
-                "seed": self.sampler.seed,
-            }
-        return {
-            "loss_mode": self.loss_mode,
-            "pooling": pooling,
-            "lr0": self.lr0,
-            "momentum": self.momentum,
-            "poly_power": self.poly_power,
-            "iterations": self.iterations,
-            "batch_crops": self.batch_crops,
-            "crop_size": list(self.crop_size),
-            "sampler": sampler,
-            "weight_decay": self.weight_decay,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
         """Build a config from a possibly partial dict.
 
-        Missing keys keep the defaults; a pooling dict that sets ``m`` gets
-        no ``m_fraction``.
+        Missing keys keep the defaults; a key that is not a field, here or
+        in the pooling or sampler dict, raises ``ValueError``.  A pooling
+        dict that sets ``m`` gets no ``m_fraction``.
         """
         default = cls()
         pooling = data.get("pooling") or {}
+        _check_keys(PoolingConfig, pooling, "train.pooling")
         sampler = data.get("sampler")
-        sampler_default = SamplerConfig()
+        flat = {k: v for k, v in data.items() if k not in ("pooling", "sampler")}
         return cls(
-            loss_mode=data.get("loss_mode", default.loss_mode),
+            **_fields_over(default, flat, "train"),
             pooling=PoolingConfig(
                 p=float(pooling.get("p", default.pooling.p)),
                 m=pooling.get("m"),
@@ -335,19 +318,9 @@ class TrainConfig:
                     else None
                 ),
             ),
-            lr0=float(data.get("lr0", default.lr0)),
-            momentum=float(data.get("momentum", default.momentum)),
-            poly_power=float(data.get("poly_power", default.poly_power)),
-            iterations=int(data.get("iterations", default.iterations)),
-            batch_crops=int(data.get("batch_crops", default.batch_crops)),
-            crop_size=tuple(data.get("crop_size", default.crop_size)),
             sampler=None if sampler is None else SamplerConfig(
-                blend=float(sampler.get("blend", sampler_default.blend)),
-                epsilon=float(sampler.get("epsilon", sampler_default.epsilon)),
-                seed=int(sampler.get("seed", sampler_default.seed)),
+                **_fields_over(SamplerConfig(), sampler, "train.sampler")
             ),
-            weight_decay=float(data.get("weight_decay", default.weight_decay)),
-            seed=int(data.get("seed", default.seed)),
         )
 
 
@@ -483,13 +456,13 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
             x = np.concatenate([feats, np.ones((feats.shape[0], 1))], axis=1)
             logits = x @ weights
             result = softmax_xent(SegBatch(logits=logits, labels=labels))
-            n_valid = result.losses.size
+            n = labels.size
 
             if config.loss_mode == "uniform":
-                pixel_weights = np.full(n_valid, 1.0 / n_valid)
+                pixel_weights = np.full(n, 1.0 / n)
                 crop_loss = float(result.losses.mean())
             elif config.loss_mode == "inverse_median_freq":
-                pixel_weights = class_weights[labels[result.valid_index_map]] / n_valid
+                pixel_weights = class_weights[labels] / n
                 crop_loss = float(pixel_weights @ result.losses)
             else:
                 outcome = solve_pool(result.losses, config.pooling)
@@ -521,7 +494,8 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
         per_class_iou=per_class_iou.tolist(),
         mean_iou=mean_iou,
         loss_history=loss_history,
-        config_echo=config.to_dict(),
+        # The JSON form: the config's tuples read back as lists.
+        config_echo=json.loads(json.dumps(asdict(config))),
         wall_time=time.perf_counter() - started,
         model_weights=weights,
     )
@@ -539,19 +513,13 @@ def evaluate(
     if indices.size == 0:
         raise ValueError("cannot evaluate on an empty split")
     num_features = dataset.features.shape[-1]
-    num_classes = dataset.num_classes
     feats = dataset.features[indices].reshape(-1, num_features)
     labels = dataset.labels[indices].reshape(-1)
     x = np.concatenate([feats, np.ones((feats.shape[0], 1))], axis=1)
     predictions = np.argmax(x @ weights, axis=1)
-
-    confusion = np.zeros((num_classes, num_classes))
-    np.add.at(confusion, (labels, predictions), 1.0)
-    tp = np.diag(confusion)
-    union = confusion.sum(axis=0) + confusion.sum(axis=1) - tp
-    per_class = np.ones(num_classes)
-    covered = union > 0
-    per_class[covered] = tp[covered] / union[covered]
+    per_class, covered = confusion_iou(
+        confusion_counts(labels, predictions, dataset.num_classes)
+    )
     return per_class, float(per_class[covered].mean())
 
 

@@ -7,6 +7,7 @@ the same ``losspool`` these tests imported, whether that is installed or on
 failure, 2 malformed input data, 3 invalid parameters.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -638,6 +639,103 @@ class TestTrainDemoCommand:
         )
         assert code == 3
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config_doc,key",
+        [
+            ({"train": {"iteratoins": 3}}, "iteratoins"),
+            ({"dataset": {"imagse": 4}}, "imagse"),
+            ({"train": {"pooling": {"pp": 2}}}, "pp"),
+            ({"train": {"sampler": {"blnd": 0.1}}}, "blnd"),
+        ],
+        ids=["train", "dataset", "train.pooling", "train.sampler"],
+    )
+    def test_unknown_nested_key_exits_3_and_writes_nothing(
+        self, tmp_path, capsys, config_doc, key
+    ):
+        config = tmp_path / "demo.json"
+        config.write_text(json.dumps(config_doc))
+        code = main(
+            ["train-demo", "--seeds", "1", "--config", str(config),
+             "--output-dir", str(tmp_path / "out")]
+        )
+        assert code == 3
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_output_bytes_are_frozen(self, tmp_path, capsys):
+        """Reports but their timing line, the IoU table and the models."""
+        config = tmp_path / "demo.json"
+        config.write_text(json.dumps({"train": {"sampler": {}}}))
+        out = tmp_path / "out"
+        code = main(
+            ["train-demo", "--seeds", "1", "--modes", "uniform,inverse_median_freq,lmp",
+             "--iterations", "6", "--config", str(config), "--output-dir", str(out)]
+        )
+        assert code == 0
+        heads = {
+            "uniform": (
+                b'{\n'
+                b'  "per_class_iou": [0.91245376078914919, 0.15076335877862596, 0],\n'
+                b'  "mean_iou": 0.35440570652259168,\n'
+                b'  "loss_history": [1.0986122886681098, 0.73105891114696531, 0.43971903033280402, 0.2564498157329741, 0.23013223727154664, 0.30035486401646494],\n'
+            ),
+            "inverse_median_freq": (
+                b'{\n'
+                b'  "per_class_iou": [0.38718394132406869, 0.34870075440067055, 0.022522522522522521],\n'
+                b'  "mean_iou": 0.25280240608242061,\n'
+                b'  "loss_history": [0.41004283867793478, 0.39047615831382021, 0.48356917416023987, 0.38115426630960186, 0.29749666974683725, 0.3010232949969367],\n'
+            ),
+            "lmp": (
+                b'{\n'
+                b'  "per_class_iou": [0.95640930919837464, 0.6205607476635514, 0.016666666666666666],\n'
+                b'  "mean_iou": 0.53121224117619759,\n'
+                b'  "loss_history": [1.0986122886681098, 0.81847598238290831, 0.72019246223907407, 0.51910048390587449, 0.47756256951666853, 0.51748813609338284],\n'
+            ),
+        }
+        config_echo = (
+            b'  "config_echo": {\n'
+            b'    "loss_mode": "%b",\n'
+            b'    "pooling": {\n'
+            b'      "p": 1.3,\n'
+            b'      "m": null,\n'
+            b'      "m_fraction": 0.25\n'
+            b'    },\n'
+            b'    "lr0": 0.5,\n'
+            b'    "momentum": 0.90000000000000002,\n'
+            b'    "poly_power": 0.90000000000000002,\n'
+            b'    "iterations": 6,\n'
+            b'    "batch_crops": 8,\n'
+            b'    "crop_size": [12, 12],\n'
+            b'    "sampler": {\n'
+            b'      "blend": 0.5,\n'
+            b'      "epsilon": 0.01,\n'
+            b'      "seed": 0\n'
+            b'    },\n'
+            b'    "weight_decay": 0.0001,\n'
+            b'    "seed": 1\n'
+            b'  },\n'
+            b'}\n'
+        )
+        for mode, head in heads.items():
+            lines = (out / f"report_{mode}_seed1.json").read_bytes().splitlines(True)
+            assert lines[-2].startswith(b'  "wall_time": ')
+            del lines[-2]
+            assert b"".join(lines) == head + config_echo % mode.encode()
+        assert (out / "iou_by_class.csv").read_bytes() == (
+            b'seed,mode,iou_class0,iou_class1,iou_class2,mean_iou\n'
+            b'1,uniform,0.91245376078914919,0.15076335877862596,0,0.35440570652259168\n'
+            b'1,inverse_median_freq,0.38718394132406869,0.34870075440067055,0.022522522522522521,0.25280240608242061\n'
+            b'1,lmp,0.95640930919837464,0.6205607476635514,0.016666666666666666,0.53121224117619759\n'
+        )
+        models = {
+            "uniform": "04a5f058b78669bf37703e101fad014aadbfe1c76155c148466e8744d0d5571d",
+            "inverse_median_freq": "b9ff5d0baad5d96d4e049ba29649a23db10dc25d0c0c02efa5523d443083422c",
+            "lmp": "860d67c94a032445ca65c6dfae7bdfdfaaa85c98b8f92f65c6b6dc60689f2ce0",
+        }
+        for mode, digest in models.items():
+            data = (out / f"model_{mode}_seed1.bin").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest
 
     def clipped_crop_args(self, tmp_path, m, modes="uniform,lmp"):
         # 24x24 images and 12x12 crops: a corner crop keeps 7x7 = 49 pixels.

@@ -18,21 +18,11 @@ LN_ONE_PLUS_E = 1.3132616875182228
 class TestSegBatch:
     def test_defaults_to_all_valid(self):
         batch = SegBatch(logits=[[0.0, 1.0], [2.0, 0.0]], labels=[0, 1])
-        assert batch.valid.dtype == bool
-        assert batch.valid.all()
         assert batch.logits.shape == (2, 2)
 
     def test_logits_coerced_to_float64(self):
         batch = SegBatch(logits=np.zeros((3, 4), dtype=np.float32), labels=[0, 1, 2])
         assert batch.logits.dtype == np.float64
-
-    def test_invalid_pixel_may_carry_out_of_range_label(self):
-        batch = SegBatch(
-            logits=np.zeros((2, 3)),
-            labels=np.array([0, 99]),
-            valid=[True, False],
-        )
-        assert batch.labels[1] == 99  # never read, never rejected
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -45,7 +35,7 @@ class TestSegBatch:
             {"logits": np.zeros((2, 2)), "labels": [0.0, 1.0]},
             {"logits": np.zeros((2, 2)), "labels": [0, 2]},
             {"logits": np.zeros((2, 2)), "labels": [0, -1]},
-            {"logits": np.zeros((2, 2)), "labels": [0, 1], "valid": [True]},
+            {"logits": np.zeros((0, 2)), "labels": np.zeros(0, dtype=int)},
         ],
         ids=[
             "logits-1d",
@@ -56,7 +46,7 @@ class TestSegBatch:
             "float-labels",
             "label-too-big",
             "label-negative",
-            "mask-shape",
+            "empty",
         ],
     )
     def test_rejects_malformed_batches(self, kwargs):
@@ -97,34 +87,6 @@ class TestSoftmaxXent:
         assert np.all(np.isfinite(result.losses))
         assert result.losses[0] == pytest.approx(2000.0, rel=1e-12)
 
-    def test_masked_pixels_do_not_appear(self):
-        logits = np.array([[0.0, 1.0], [5.0, 2.0], [1.0, 1.0]])
-        batch = SegBatch(logits=logits, labels=[1, 0, 0], valid=[True, False, True])
-        result = softmax_xent(batch)
-        assert result.losses.shape == (2,)
-        np.testing.assert_array_equal(result.valid_index_map, [0, 2])
-        assert np.all(result.per_pixel_logit_grad[1] == 0.0)
-
-    def test_masked_logits_are_inert(self):
-        rng = np.random.default_rng(11)
-        logits = rng.normal(size=(8, 3))
-        labels = rng.integers(0, 3, size=8)
-        valid = np.array([True, False] * 4)
-        base = softmax_xent(SegBatch(logits=logits, labels=labels, valid=valid))
-
-        perturbed = logits.copy()
-        perturbed[~valid] = rng.normal(0.0, 100.0, size=(4, 3))
-        again = softmax_xent(SegBatch(logits=perturbed, labels=labels, valid=valid))
-        np.testing.assert_array_equal(base.losses, again.losses)
-        np.testing.assert_array_equal(
-            base.per_pixel_logit_grad, again.per_pixel_logit_grad
-        )
-
-    def test_all_masked_raises(self):
-        batch = SegBatch(logits=np.zeros((2, 2)), labels=[0, 1], valid=[False, False])
-        with pytest.raises(ValueError, match="no valid pixels"):
-            softmax_xent(batch)
-
     def test_per_pixel_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(6, 4))
@@ -149,11 +111,8 @@ class TestSoftmaxXent:
 class TestBackpropPooled:
     def test_shapes_and_masking(self):
         logits = np.arange(12.0).reshape(4, 3)
-        batch = SegBatch(
-            logits=logits, labels=[0, 1, 2, 0], valid=[True, True, False, True]
-        )
-        result = softmax_xent(batch)
-        grad = backprop_pooled(result, np.array([0.5, 0.25, 0.25]))
+        result = softmax_xent(SegBatch(logits=logits, labels=[0, 1, 2, 0]))
+        grad = backprop_pooled(result, np.array([0.5, 0.25, 0.0, 0.25]))
         assert grad.shape == (4, 3)
         assert np.all(grad[2] == 0.0)
         np.testing.assert_allclose(
@@ -162,7 +121,7 @@ class TestBackpropPooled:
 
     def test_rejects_weight_length_mismatch(self):
         result = softmax_xent(SegBatch(logits=np.zeros((3, 2)), labels=[0, 1, 0]))
-        with pytest.raises(ValueError, match="one weight per valid pixel"):
+        with pytest.raises(ValueError, match="one weight per pixel"):
             backprop_pooled(result, np.array([0.5, 0.5]))
 
     def test_uniform_weights_reproduce_mean_loss_gradient(self):

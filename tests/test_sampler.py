@@ -76,12 +76,6 @@ class TestUpdateStats:
         np.testing.assert_array_equal(stats.confusion, [[1, 1], [0, 0]])
         assert stats.iou_history == [[0.0, 0.0], [0.5, 0.0]]
 
-    def test_masked_update_only_decays(self):
-        stats = ClassStats(num_classes=2, decay=0.5)
-        update_stats(stats, [0, 1], [0, 1])
-        update_stats(stats, [1, 0], [0, 1], valid=[False, False])
-        np.testing.assert_array_equal(stats.confusion, [[0.5, 0], [0, 0.5]])
-
     def test_returns_the_same_object(self):
         stats = ClassStats(num_classes=2)
         assert update_stats(stats, [0], [0]) is stats
@@ -101,11 +95,6 @@ class TestUpdateStats:
         stats = ClassStats(num_classes=3)
         with pytest.raises(ValueError, match="class ids"):
             update_stats(stats, preds, labels)
-
-    def test_out_of_range_ok_when_masked(self):
-        stats = ClassStats(num_classes=2)
-        update_stats(stats, [0, 9], [0, -3], valid=[True, False])
-        assert stats.confusion[0, 0] == 1.0
 
 
 class TestClassDistribution:

@@ -6,6 +6,7 @@ reproduce plain mean-loss training exactly, step for step.
 """
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -73,14 +74,20 @@ class TestDatasetSpec:
         ],
     )
     def test_rejects_bad_specs(self, overrides):
-        base = SyntheticDatasetSpec().to_dict()
+        base = asdict(SyntheticDatasetSpec())
         base.update(overrides)
         with pytest.raises(ValueError):
             SyntheticDatasetSpec.from_dict(base)
 
     def test_dict_round_trip(self):
         spec = small_spec(shape_kind="stripe")
-        assert SyntheticDatasetSpec.from_dict(spec.to_dict()) == spec
+        assert SyntheticDatasetSpec.from_dict(asdict(spec)) == spec
+
+    def test_partial_dict_keeps_the_other_defaults(self):
+        assert SyntheticDatasetSpec.from_dict({}) == SyntheticDatasetSpec()
+        assert SyntheticDatasetSpec.from_dict(
+            {"images": 4}
+        ) == SyntheticDatasetSpec(images=4)
 
 
 class TestClassPixelCounts:
@@ -181,11 +188,11 @@ class TestTrainConfig:
             sampler=SamplerConfig(blend=0.25, epsilon=0.02, seed=3),
             iterations=12,
         )
-        assert TrainConfig.from_dict(config.to_dict()) == config
+        assert TrainConfig.from_dict(asdict(config)) == config
 
     def test_dict_round_trip_without_sampler(self):
         config = TrainConfig()
-        back = TrainConfig.from_dict(config.to_dict())
+        back = TrainConfig.from_dict(asdict(config))
         assert back == config
         assert back.sampler is None
 
