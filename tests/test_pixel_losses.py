@@ -87,6 +87,11 @@ class TestSoftmaxXent:
         assert np.all(np.isfinite(result.losses))
         assert result.losses[0] == pytest.approx(2000.0, rel=1e-12)
 
+    def test_all_masked_raises(self):
+        # A crop with no pixel to score never reaches the loss or the solver.
+        with pytest.raises(ValueError, match="no pixels"):
+            softmax_xent(SegBatch(logits=np.zeros((0, 2)), labels=np.zeros(0, dtype=int)))
+
     def test_per_pixel_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(6, 4))
