@@ -8,10 +8,12 @@ Two independent routes to the pooled value, used to audit
   intersection of the weight box ``[0, tau]^n`` and the p-norm ball of
   radius ``gamma``.  The objective is linear and the set convex and compact,
   so the fixed point of the project-and-step map is a global maximiser.
+  The projection finds its multiplier by a bracketed Illinois step.
 * :func:`scan_dual_alpha` walks the dual path ``lam(alpha) = max(l - alpha,
-  0)`` over a dense threshold grid and refines the best bracket by golden
-  section.  The dual objective is unimodal along this path and meets the
-  primal value at the optimum.
+  0)`` over a dense threshold grid, evaluated as one broadcast array in
+  blocks, and refines the best bracket by golden section.  The dual
+  objective is unimodal along this path and meets the primal value at the
+  optimum.
 
 :func:`dual_objective` and :func:`kkt_residual` check a dual vector against
 the bound and the optimality fixed point.  None of this shares code or
@@ -54,8 +56,8 @@ __all__ = [
 DYKSTRA_MOVEMENT_TOL = 1.0e-10
 _DYKSTRA_MAX_CYCLES = 4000
 
-# Bisection width (relative to the bracket) for the projection's Lagrange
-# multiplier.
+# Stop width of the bracket on the projection's Lagrange multiplier,
+# relative to the larger of 1 and its upper end.
 _BALL_TOL = 1.0e-12
 
 # Projected gradient ascent: iteration budget, stall threshold (sup norm) and
@@ -64,8 +66,11 @@ _ASCENT_ITERS = 5000
 _ASCENT_MOVEMENT_TOL = 1.0e-9
 _ASCENT_STEP = 1.0e4
 
-# Threshold grid points of the dual scan before golden-section refinement.
+# Threshold grid points of the dual scan before golden-section refinement,
+# and the most grid elements (rows times losses) one block of the broadcast
+# grid holds; a block has at least one row.
 _SCAN_GRID_SIZE = 1024
+_SCAN_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass
@@ -162,12 +167,14 @@ def project_feasible(
     Dualising only the ball constraint makes the projection separable: for a
     multiplier ``nu`` the box-constrained minimiser per coordinate is
     ``clip(shrink(v, nu), 0, tau)`` with a scaled-shrinkage map, and the norm
-    of that candidate is monotone in ``nu``.  Bisecting ``nu`` until the norm
-    meets ``gamma`` therefore yields the exact joint projection (strong
-    duality; the intersection has interior).  With ``tau = inf`` this is the
-    projection of a non-negative point onto the p-norm ball alone.
-    ``state`` caches the multiplier across calls for a tight starting
-    bracket.
+    of that candidate is monotone in ``nu``.  Narrowing a bracket on ``nu``
+    until the norm meets ``gamma`` therefore yields the exact joint
+    projection (strong duality; the intersection has interior).  The bracket
+    shrinks by Illinois steps (false position, halving the value at an end
+    that is kept twice in a row), with the midpoint as fallback, down to the
+    relative width ``_BALL_TOL``.  With ``tau = inf`` this is the projection
+    of a non-negative point onto the p-norm ball alone.  ``state`` caches
+    the multiplier across calls for a tight starting bracket.
     """
     if not (1.0 < params.p < math.inf):
         raise ValueError(f"projection needs finite p > 1, got {params.p!r}")
@@ -177,29 +184,45 @@ def project_feasible(
         return np.minimum(_shrink_to_ball_surface(v, nu, params.p), params.tau)
 
     w0 = candidate(0.0)
-    if stable_qnorm(w0, params.p) <= params.gamma:
+    excess0 = stable_qnorm(w0, params.p) - params.gamma
+    if excess0 <= 0.0:
         return w0
 
     def excess(nu: float) -> float:
         return stable_qnorm(candidate(nu), params.p) - params.gamma
 
-    lo, hi = 0.0, 1.0
-    if state is not None and state.get("nu", 0.0) > 0.0:
-        hint = state["nu"]
-        lo, hi = hint / 4.0, hint * 4.0
-        if excess(lo) < 0.0:
-            lo = 0.0
-        while excess(hi) > 0.0:
-            hi *= 4.0
-    else:
-        while excess(hi) > 0.0:
-            hi *= 4.0
-    while hi - lo > _BALL_TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
+    # Bracket the root, excess > 0 at lo and <= 0 at hi, growing from a
+    # quarter of the cached multiplier.
+    lo, f_lo = 0.0, excess0
+    hint = state.get("nu", 0.0) if state is not None else 0.0
+    hi = hint / 4.0 if hint > 0.0 else 1.0
+    while (f_hi := excess(hi)) > 0.0:
+        lo, f_lo = hi, f_hi
+        hi *= 4.0
+    # ``kept`` is the side (1 = lo, -1 = hi) the last step moved.  A step
+    # stays half the stop width inside either end, so a step that lands next
+    # to the root closes the bracket on the next evaluation; an exact zero of
+    # the excess is the root.
+    kept = 0
+    while hi - lo > (width := _BALL_TOL * max(1.0, hi)):
+        nu = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if lo <= nu <= hi:
+            nu = min(max(nu, lo + 0.5 * width), hi - 0.5 * width)
         else:
-            hi = mid
+            nu = 0.5 * (lo + hi)
+        f = excess(nu)
+        if f == 0.0:
+            lo = hi = nu
+        elif f > 0.0:
+            lo, f_lo = nu, f
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = nu, f
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
     nu = 0.5 * (lo + hi)
     if state is not None:
         state["nu"] = nu
@@ -322,6 +345,30 @@ def _dual_path_value(alpha: float, values: np.ndarray, params: ResolvedPooling) 
     )
 
 
+def _dual_path_grid(
+    alphas: np.ndarray, values: np.ndarray, params: ResolvedPooling
+) -> np.ndarray:
+    """:func:`_dual_path_value` at every threshold of ``alphas``, broadcast.
+
+    Rows of the ``[grid, n]`` array are evaluated in blocks of at most
+    ``_SCAN_BLOCK_ELEMENTS`` elements.  The q-norm is scaled by the row top
+    ``min(max(l), alpha)`` as :func:`stable_qnorm` scales it; a row whose
+    top is zero has norm zero.
+    """
+    gvals = np.empty(alphas.size)
+    rows = max(1, _SCAN_BLOCK_ELEMENTS // values.size)
+    top = values.max()
+    for start in range(0, alphas.size, rows):
+        block = alphas[start:start + rows, None]
+        row_top = np.minimum(top, block)
+        scale = np.where(row_top > 0.0, row_top, 1.0)
+        capped = np.minimum(values, block) / scale
+        norm = row_top[:, 0] * np.sum(capped**params.q, axis=1) ** (1.0 / params.q)
+        lam_sum = np.maximum(values - block, 0.0).sum(axis=1)
+        gvals[start:start + rows] = params.tau * lam_sum + params.gamma * norm
+    return gvals
+
+
 def scan_dual_alpha(losses, config: PoolingConfig) -> OracleReport:
     """Minimise the dual objective along the threshold path.
 
@@ -343,7 +390,7 @@ def scan_dual_alpha(losses, config: PoolingConfig) -> OracleReport:
         )
 
     alphas = np.linspace(0.0, top, _SCAN_GRID_SIZE)
-    gvals = np.array([_dual_path_value(a, values, params) for a in alphas])
+    gvals = _dual_path_grid(alphas, values, params)
     k = int(np.argmin(gvals))
     lo = alphas[max(k - 1, 0)]
     hi = alphas[min(k + 1, _SCAN_GRID_SIZE - 1)]

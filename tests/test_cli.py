@@ -520,7 +520,7 @@ class TestOracleAuditCommand:
             b'  "kkt_tol": 9.9999999999999995e-07,\n'
             b'  "all_passed": true,\n'
             b'  "worst": {\n'
-            b'    "ascent_rel_err": 5.5369162120994978e-13,\n'
+            b'    "ascent_rel_err": 9.7517959473690784e-14,\n'
             b'    "scan_rel_err": 3.4551130634036419e-16,\n'
             b'    "kkt_residual": 1.1102230246251565e-16,\n'
             b'    "constraint_violation": 0\n'
@@ -531,9 +531,9 @@ class TestOracleAuditCommand:
             b'    "p": 2,\n'
             b'    "m": 38.391522784201278,\n'
             b'    "solver_value": 0.55856187248097544,\n'
-            b'    "ascent_value": 0.55856187248097422,\n'
+            b'    "ascent_value": 0.55856187248097522,\n'
             b'    "scan_value": 0.55856187248097544,\n'
-            b'    "ascent_rel_err": 2.1864101136428133e-15,\n'
+            b'    "ascent_rel_err": 3.9752911157142062e-16,\n'
             b'    "scan_rel_err": 0,\n'
             b'    "kkt_residual": 5.5511151231257827e-17,\n'
             b'    "constraint_violation": 0,\n'
@@ -544,9 +544,9 @@ class TestOracleAuditCommand:
             b'    "p": 1.3,\n'
             b'    "m": 2.1797895930485849,\n'
             b'    "solver_value": 3.1239906946507912,\n'
-            b'    "ascent_value": 3.1239906946490614,\n'
+            b'    "ascent_value": 3.1239906946504865,\n'
             b'    "scan_value": 3.1239906946507907,\n'
-            b'    "ascent_rel_err": 5.5369162120994978e-13,\n'
+            b'    "ascent_rel_err": 9.7517959473690784e-14,\n'
             b'    "scan_rel_err": 1.4215445987418481e-16,\n'
             b'    "kkt_residual": 0,\n'
             b'    "constraint_violation": 0,\n'
@@ -557,9 +557,9 @@ class TestOracleAuditCommand:
             b'    "p": 1.7,\n'
             b'    "m": 31.151493228511605,\n'
             b'    "solver_value": 0.64265510520311153,\n'
-            b'    "ascent_value": 0.64265510520311109,\n'
+            b'    "ascent_value": 0.64265510520311164,\n'
             b'    "scan_value": 0.64265510520311175,\n'
-            b'    "ascent_rel_err": 6.9102261268072858e-16,\n'
+            b'    "ascent_rel_err": 1.7275565317018212e-16,\n'
             b'    "scan_rel_err": 3.4551130634036419e-16,\n'
             b'    "kkt_residual": 1.1102230246251565e-16,\n'
             b'    "constraint_violation": 0,\n'

@@ -9,16 +9,21 @@ takes nothing numeric from the solver module.
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import project_feasible_bisect
 import losspool
 import losspool.oracle
 import losspool.solver
 from losspool import PoolingConfig, solve_pool
 from losspool.oracle import (
+    _SCAN_GRID_SIZE,
+    _dual_path_grid,
+    _dual_path_value,
     constraint_violation,
     kkt_residual,
     maximize_primal,
@@ -162,6 +167,98 @@ class TestFeasibleProjection:
             project_feasible(np.ones(3), PoolingConfig(p=math.inf, m=2.0).resolve(3))
 
 
+def ascent_points(p, seed):
+    """Six step targets of a primal ascent, and the set's parameters.
+
+    As in :func:`maximize_primal`, each target is the iterate plus ``1e4 *
+    gamma * l / ||l||_2``; the iterates start uniform and are projected by
+    the bisection reference.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    losses = rng.lognormal(0.0, 1.0, n)
+    params = PoolingConfig(p=p, m=float(rng.uniform(1.0, n))).resolve(n)
+    increment = (1.0e4 * params.gamma / np.linalg.norm(losses)) * losses
+    w = np.full(n, 1.0 / n)
+    points = []
+    for _ in range(6):
+        points.append(w + increment)
+        w = project_feasible_bisect(points[-1], params)
+    return points, params
+
+
+class TestIllinoisAgainstBisection:
+    """The Illinois multiplier search lands where halving the bracket does."""
+
+    P_VALUES = (1.1, 1.3, 1.7, 2.0, 4.0, 8.0)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_cold_start_matches(self, p):
+        for seed in range(5):
+            points, params = ascent_points(p, seed)
+            rng = np.random.default_rng(100 + seed)
+            points.append(rng.normal(0.0, 2.0 * params.tau, params.n))
+            for point in points:
+                np.testing.assert_allclose(
+                    project_feasible(point, params),
+                    project_feasible_bisect(point, params),
+                    rtol=0.0, atol=1e-12,
+                )
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_warm_start_matches(self, p):
+        for seed in range(5):
+            points, params = ascent_points(p, seed)
+            state, reference_state = {}, {}
+            for point in points:
+                np.testing.assert_allclose(
+                    project_feasible(point, params, state=state),
+                    project_feasible_bisect(point, params, state=reference_state),
+                    rtol=0.0, atol=1e-12,
+                )
+            assert state["nu"] == pytest.approx(reference_state["nu"], rel=1e-11)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_ball_only_call_matches(self, p):
+        """The ``tau = inf`` call that the Dykstra reference makes."""
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            n = int(rng.integers(2, 30))
+            params = PoolingConfig(p=p, m=float(rng.uniform(1.0, n))).resolve(n)
+            lifted = params._replace(tau=math.inf)
+            point = np.abs(rng.normal(0.0, 2.0 * params.tau, n))
+            state, reference_state = {}, {}
+            for scale in (1.0, 1.1, 0.9):
+                np.testing.assert_allclose(
+                    project_feasible(scale * point, lifted, state=state),
+                    project_feasible_bisect(scale * point, lifted, state=reference_state),
+                    rtol=0.0, atol=1e-12,
+                )
+
+    def test_needs_a_third_of_the_shrink_calls(self, monkeypatch):
+        calls = [0]
+        shrink = losspool.oracle._shrink_to_ball_surface
+
+        def counted(b, nu, p):
+            calls[0] += 1
+            return shrink(b, nu, p)
+
+        cases = [ascent_points(p, seed) for p in self.P_VALUES for seed in range(3)]
+        monkeypatch.setattr(losspool.oracle, "_shrink_to_ball_surface", counted)
+        used = {}
+        for project in (project_feasible, project_feasible_bisect):
+            calls[0] = 0
+            for points, params in cases:
+                state: dict = {}
+                for point in points:
+                    project(point, params)
+                    project(point, params, state=state)
+            used[project] = calls[0]
+        # About 3.4x fewer on these points; plain false position, without
+        # the Illinois halving, saves only about 2.6x.
+        assert 0 < 3 * used[project_feasible] < used[project_feasible_bisect]
+
+
 class TestPrimalAscent:
     def test_worked_example(self):
         report = maximize_primal([3.0, 1.0], PoolingConfig(p=2.0, m=1.0))
@@ -206,6 +303,39 @@ class TestDualScan:
     def test_validation(self):
         with pytest.raises(ValueError):
             scan_dual_alpha([1.0, 2.0], PoolingConfig(p=1.0, m=1.0))
+
+    @staticmethod
+    def grid_cases():
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            yield random_instance(rng)
+        yield np.array([0.8]), PoolingConfig(p=1.7, m=1.0)
+        yield np.array([0.0, 1.5, 0.0, 0.2, 0.0, 3.0]), PoolingConfig(p=1.3, m=2.5)
+        yield np.full(7, 0.6), PoolingConfig(p=4.0, m=3.0)
+        yield rng.lognormal(0.0, 1.0, 2**14 + 1), PoolingConfig(p=2.0, m=100.0)
+
+    def test_grid_matches_scalar_path(self):
+        """Every broadcast grid point, blocks and the alpha = 0 row included."""
+        for losses, config in self.grid_cases():
+            params = config.resolve(losses.size)
+            alphas = np.linspace(0.0, losses.max(), _SCAN_GRID_SIZE)
+            grid = _dual_path_grid(alphas, losses, params)
+            scalar = np.array([_dual_path_value(a, losses, params) for a in alphas])
+            np.testing.assert_allclose(grid, scalar, rtol=1e-15, atol=0.0)
+            assert np.argmin(grid) == np.argmin(scalar)
+            assert grid[0] == pytest.approx(params.tau * losses.sum(), rel=1e-15)
+
+    def test_large_grid_is_blocked(self):
+        """An unblocked [1024, n] grid would take about 800 MB per temporary."""
+        losses = np.random.default_rng(13).lognormal(0.0, 1.0, 100_000)
+        tracemalloc.start()
+        try:
+            report = scan_dual_alpha(losses, PoolingConfig(p=1.3, m=1000.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak < 32 * 2**20
 
 
 class TestOracleAgreement:
