@@ -13,9 +13,10 @@ Four subcommands:
 
 Exit codes are a stable contract: 0 success, 1 verification or training
 failure, 2 malformed input data, 3 invalid parameters.  Every subcommand
-accepts ``--config FILE`` with a JSON object of option defaults; explicit
-flags win over the file.  The only environment variable consulted is
-``LOSSPOOL_OUTPUT_DIR`` (default directory for output files).
+accepts ``--config FILE`` with a JSON object of option defaults, keyed by
+option name and converted like the flags; explicit flags win over the file.
+The only environment variable consulted is ``LOSSPOOL_OUTPUT_DIR`` (default
+directory for output files).
 
 Machine-readable files carry floats with 17 significant digits (exact for
 64-bit reals); human-facing output rounds to 9.
@@ -40,6 +41,7 @@ from .trainer import (
     SyntheticDatasetSpec,
     TrainConfig,
     TrainingDivergence,
+    as_integer,
     check_crop_pooling,
     class_pixel_counts,
     generate_dataset,
@@ -226,6 +228,66 @@ def parse_pooling(p_token: str, m_token: str) -> PoolingConfig:
         raise ParameterError(str(exc)) from exc
 
 
+def _say(line: str) -> None:
+    """Print a line; once stdout's reader has gone, send the rest to the null
+    device, so a closed pipe costs a command neither its files nor its exit code."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _pooling_for(p_token: str, m_token: str, n: int) -> PoolingConfig:
+    """``parse_pooling``, with ``m`` checked against ``n`` losses before any output."""
+    config = parse_pooling(p_token, m_token)
+    try:
+        config.resolve(n)
+    except ValueError as exc:
+        raise ParameterError(str(exc)) from exc
+    return config
+
+
+def _output_path(options: dict, name: str) -> Path:
+    """``--output`` if set, else ``name`` in the output directory."""
+    return Path(options.get("output") or options["output_dir"] / name)
+
+
+# ---------------------------------------------------------------------------
+# option tables: name -> (default, converter, help)
+#
+# The flag is the name with dashes, the config-file key the name itself;
+# flag text and config value pass through the same converter.  A default of
+# None leaves the option unset until given; no help means no flag.
+
+def _count(value) -> int:
+    """An integer of at least 1."""
+    if (count := as_integer(value)) < 1:
+        raise ValueError("must be at least 1")
+    return count
+
+
+def _seed(value) -> int:
+    """A non-negative integer."""
+    if (seed := as_integer(value)) < 0:
+        raise ValueError("must be non-negative")
+    return seed
+
+
+def _split(value) -> list[str]:
+    """The items of a comma-separated list, at least one."""
+    tokens = [tok.strip() for tok in str(value).split(",") if tok.strip()]
+    if not tokens:
+        raise ValueError("names no value")
+    return tokens
+
+
+def _seeds(value) -> list[int]:
+    """A comma-separated list of seeds."""
+    return [_seed(tok) for tok in _split(value)]
+
+
 def _load_config_file(path, allowed) -> dict:
     try:
         data = json.loads(Path(path).read_text())
@@ -241,66 +303,52 @@ def _load_config_file(path, allowed) -> dict:
     return data
 
 
-def _merge_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """Layer defaults < config file < explicit flags."""
-    provided = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("func", "config", "command")
-    }
-    from_file = {}
-    if getattr(args, "config", None):
-        from_file = _load_config_file(args.config, allowed=set(defaults))
-    return {**defaults, **from_file, **provided}
+def _options(args: argparse.Namespace, table: dict) -> dict:
+    """The converted options of ``table``: defaults < config file < flags.
 
-
-def _option(merged: dict, key: str, convert):
-    """``convert(merged[key])``, reporting a value it rejects as a parameter error."""
-    try:
-        return convert(merged[key])
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"bad {key} value {merged[key]!r}: {exc}") from None
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ParameterError(f"seeds must be non-negative, got {seed}")
-
-
-def _output_dir(merged: dict) -> Path:
-    configured = merged.get("output_dir") or os.environ.get("LOSSPOOL_OUTPUT_DIR")
-    directory = Path(configured) if configured else Path(".")
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
+    ``output_dir`` is common to every subcommand and falls back to
+    ``LOSSPOOL_OUTPUT_DIR``, then the working directory.
+    """
+    table = {**table, "output_dir": (None, str, None)}
+    given = _load_config_file(args.config, table) if args.config else {}
+    given.update((key, value) for key, value in vars(args).items() if key in table)
+    options = {}
+    for key, (default, convert, _) in table.items():
+        value = given.get(key, default)
+        if value is None and default is None:
+            options[key] = None
+            continue
+        try:
+            options[key] = convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"bad {key} value {value!r}: {exc}") from None
+    options["output_dir"] = Path(
+        options["output_dir"] or os.environ.get("LOSSPOOL_OUTPUT_DIR") or "."
+    )
+    return options
 
 
 # ---------------------------------------------------------------------------
 # solve
 
-_SOLVE_DEFAULTS = {
-    "losses": None,
-    "p": None,
-    "m": None,
-    "output": None,
-    "output_dir": None,
+_SOLVE_OPTIONS = {
+    "losses": (None, str, "CSV (one loss per line) or JSON array"),
+    "p": (None, str, "norm exponent in [1, inf], e.g. 1.3 or inf"),
+    "m": (None, str, "support parameter: absolute ('25') or percent ('25%%')"),
+    "output": (None, str, "output JSON path"),
 }
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    merged = _merge_options(args, _SOLVE_DEFAULTS)
+def cmd_solve(options: dict) -> int:
     for required in ("losses", "p", "m"):
-        if merged[required] is None:
+        if options[required] is None:
             raise ParameterError(f"--{required} is required")
-    values = read_losses(merged["losses"])
-    config = parse_pooling(str(merged["p"]), str(merged["m"]))
-    try:
-        config.resolve(values.size)
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
+    values = read_losses(options["losses"])
+    config = _pooling_for(options["p"], options["m"], values.size)
     outcome = solve_pool(values, config)
     if not (math.isfinite(outcome.pooled_loss) and math.isfinite(outcome.alpha_star)):
         raise InputDataError(
-            f"losses file {merged['losses']}: the solution leaves float64 range "
+            f"losses file {options['losses']}: the solution leaves float64 range "
             f"(pooled_loss {outcome.pooled_loss!r}, alpha_star {outcome.alpha_star!r})"
         )
 
@@ -311,166 +359,114 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "weights": outcome.weights,
         "dual": outcome.dual,
     }
-    out_path = (
-        Path(merged["output"])
-        if merged["output"]
-        else _output_dir(merged) / "losspool_solve.json"
-    )
-    _write_json(out_path, payload)
-    print(_f9(outcome.pooled_loss))
+    _write_json(_output_path(options, "losspool_solve.json"), payload)
+    _say(_f9(outcome.pooled_loss))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # weight-curves
 
-_CURVES_DEFAULTS = {
-    "n": 100,
-    "seed": 0,
-    "p_list": "1,1.2,1.4,1.7,2,3,4,10,inf",
-    "m_list": "33.33%",
-    "output": None,
-    "output_dir": None,
+_CURVES_OPTIONS = {
+    "n": (100, _count, "number of synthetic losses"),
+    "seed": (0, _seed, "seed of the synthetic losses"),
+    "p_list": ("1,1.2,1.4,1.7,2,3,4,10,inf", _split, "comma-separated p grid"),
+    "m_list": ("33.33%", _split, "comma-separated m grid"),
+    "output": (None, str, "output CSV path"),
 }
 
 
-def cmd_weight_curves(args: argparse.Namespace) -> int:
-    merged = _merge_options(args, _CURVES_DEFAULTS)
-    n = _option(merged, "n", int)
-    if n < 1:
-        raise ParameterError(f"n must be at least 1, got {n}")
-    seed = _option(merged, "seed", int)
-    _check_seed(seed)
-    p_tokens = [tok.strip() for tok in str(merged["p_list"]).split(",") if tok.strip()]
-    m_tokens = [tok.strip() for tok in str(merged["m_list"]).split(",") if tok.strip()]
-    if not p_tokens or not m_tokens:
-        raise ParameterError("p-list and m-list must each name at least one value")
-
+def cmd_weight_curves(options: dict) -> int:
+    n = options["n"]
     # Jittered exponential quantiles: a long-tailed, strictly increasing
     # loss profile whose shape is stable across seeds, so the curve
     # geometry (cap onset, support growth) does not depend on a lucky draw.
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(options["seed"])
     quantiles = (np.arange(n) + rng.uniform(0.05, 0.95, size=n)) / n
     losses = 0.3 - np.log1p(-quantiles)
 
     columns = []
-    for p_tok, m_tok in itertools.product(p_tokens, m_tokens):
-        config = parse_pooling(p_tok, m_tok)
-        try:
-            config.resolve(n)  # surface parameter errors before any output
-        except ValueError as exc:
-            raise ParameterError(str(exc)) from exc
-        outcome = solve_pool(losses, config)
+    for p_tok, m_tok in itertools.product(options["p_list"], options["m_list"]):
+        outcome = solve_pool(losses, _pooling_for(p_tok, m_tok, n))
         columns.append((f"w_p{p_tok}_m{m_tok}", outcome.weights))
 
-    out_path = (
-        Path(merged["output"])
-        if merged["output"]
-        else _output_dir(merged) / "weight_curves.csv"
-    )
+    out_path = _output_path(options, "weight_curves.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     header = ["pixel_rank", "loss"] + [name for name, _ in columns]
     cells = [map(str, range(1, n + 1)), _format_each(losses)]
     cells += [_format_each(weights) for _, weights in columns]
     lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
     out_path.write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(columns)} weight curves over {n} losses to {out_path}")
+    _say(f"wrote {len(columns)} weight curves over {n} losses to {out_path}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # oracle-audit
 
-_AUDIT_DEFAULTS = {
-    "instances": 500,
-    "seed": 0,
-    "rel_tol": 1e-4,
-    "kkt_tol": 1e-6,
-    "output_dir": None,
+_AUDIT_OPTIONS = {
+    "instances": (500, _count, "number of random instances"),
+    "seed": (0, _seed, "seed of the random instances"),
+    "rel_tol": (1e-4, float, "largest passing relative gap to either oracle"),
+    "kkt_tol": (1e-6, float, "largest passing KKT residual"),
+}
+
+# Printed label of each audit check, keyed like AuditSummary.worst.
+_CHECK_LABELS = {
+    "ascent_rel_err": "max relative gap (ascent)",
+    "scan_rel_err": "max relative gap (dual scan)",
+    "kkt_residual": "max KKT residual",
+    "constraint_violation": "max constraint violation",
 }
 
 
-def cmd_oracle_audit(args: argparse.Namespace) -> int:
-    merged = _merge_options(args, _AUDIT_DEFAULTS)
-    instances = _option(merged, "instances", int)
-    if instances < 1:
-        raise ParameterError(f"instances must be at least 1, got {instances}")
-    seed = _option(merged, "seed", int)
-    _check_seed(seed)
-    rel_tol = _option(merged, "rel_tol", float)
-    kkt_tol = _option(merged, "kkt_tol", float)
-
-    summary = run_audit(
-        instances=instances, seed=seed, rel_tol=rel_tol, kkt_tol=kkt_tol
-    )
-    checks = [
-        ("max relative gap (ascent)", summary.worst_ascent_err, rel_tol),
-        ("max relative gap (dual scan)", summary.worst_scan_err, rel_tol),
-        ("max KKT residual", summary.worst_kkt, kkt_tol),
-        ("max constraint violation", summary.worst_violation, 1e-8),
-    ]
-    print(
-        f"oracle audit: {instances} instances, seed {seed}, "
-        f"{summary.elapsed_seconds:.1f}s"
-    )
-    for label, worst, tol in checks:
-        verdict = "pass" if worst <= tol else "FAIL"
-        print(f"  {label:<30} {_f9_sci(worst)}  tol {tol:g}  {verdict}")
-    failures = [row for row in summary.rows if not row.passed]
-    print(f"  failed instances: {len(failures)} of {instances}")
-
+def cmd_oracle_audit(options: dict) -> int:
+    settings = {key: options[key] for key in _AUDIT_OPTIONS}  # run_audit's keywords
+    summary = run_audit(**settings)
     report = {
-        "instances": instances,
-        "seed": seed,
-        "rel_tol": rel_tol,
-        "kkt_tol": kkt_tol,
+        **settings,
         "elapsed_seconds": summary.elapsed_seconds,
         "all_passed": summary.all_passed,
-        "worst": {
-            "ascent_rel_err": summary.worst_ascent_err,
-            "scan_rel_err": summary.worst_scan_err,
-            "kkt_residual": summary.worst_kkt,
-            "constraint_violation": summary.worst_violation,
-        },
+        "worst": summary.worst,
         "rows": [dataclasses.asdict(row) for row in summary.rows],
     }
-    report_path = _output_dir(merged) / "audit_report.json"
+    report_path = _output_path(options, "audit_report.json")
     _write_json(report_path, report)
+
+    instances = options["instances"]
+    _say(
+        f"oracle audit: {instances} instances, seed {options['seed']}, "
+        f"{summary.elapsed_seconds:.1f}s"
+    )
+    for key, worst in summary.worst.items():
+        tol = summary.tolerances[key]
+        verdict = "pass" if worst <= tol else "FAIL"
+        _say(f"  {_CHECK_LABELS[key]:<30} {_f9_sci(worst)}  tol {tol:g}  {verdict}")
+    failures = sum(not row.passed for row in summary.rows)
+    _say(f"  failed instances: {failures} of {instances}")
     if summary.all_passed:
-        print("  result: PASS")
+        _say("  result: PASS")
         return EXIT_OK
-    print(f"  result: FAIL (full report retained at {report_path})")
+    _say(f"  result: FAIL (full report retained at {report_path})")
     return EXIT_FAILURE
 
 
 # ---------------------------------------------------------------------------
 # train-demo
 
-_DEMO_DEFAULTS = {
-    "seeds": "1,2,3,4,5",
-    "modes": "uniform,lmp",
-    "sigma": None,
-    "iterations": None,
-    "dataset": {},
-    "train": {},
-    "output_dir": None,
+_DEMO_OPTIONS = {
+    "seeds": ("1,2,3,4,5", _seeds, "comma-separated training seeds"),
+    "modes": ("uniform,lmp", _split, "comma-separated loss modes"),
+    "sigma": (None, float, "dataset feature noise"),
+    "iterations": (None, _count, "training iterations per run"),
+    "dataset": ({}, dict, None),
+    "train": ({}, dict, None),
 }
 
 
-def cmd_train_demo(args: argparse.Namespace) -> int:
-    merged = _merge_options(args, _DEMO_DEFAULTS)
-    try:
-        seeds = [int(tok) for tok in str(merged["seeds"]).split(",") if tok.strip()]
-    except ValueError:
-        raise ParameterError(f"bad --seeds value {merged['seeds']!r}") from None
-    modes = [tok.strip() for tok in str(merged["modes"]).split(",") if tok.strip()]
-    if not seeds or not modes:
-        raise ParameterError("need at least one seed and one loss mode")
-    for seed in seeds:
-        _check_seed(seed)
-
-    dataset_options = _option(merged, "dataset", dict)
-    train_options = _option(merged, "train", dict)
+def cmd_train_demo(options: dict) -> int:
+    seeds, modes = options["seeds"], options["modes"]
+    dataset_options, train_options = options["dataset"], options["train"]
     for forbidden, owner in (("seed", "--seeds"), ("loss_mode", "--modes")):
         if forbidden in train_options:
             raise ParameterError(f"config key train.{forbidden} is set by {owner}")
@@ -478,10 +474,10 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
         raise ParameterError(
             "config key dataset.seed is derived from --seeds (100 + seed)"
         )
-    if merged["sigma"] is not None:
-        dataset_options["feature_noise"] = _option(merged, "sigma", float)
-    if merged["iterations"] is not None:
-        train_options["iterations"] = _option(merged, "iterations", int)
+    if options["sigma"] is not None:
+        dataset_options["feature_noise"] = options["sigma"]
+    if options["iterations"] is not None:
+        train_options["iterations"] = options["iterations"]
 
     try:
         base_spec = SyntheticDatasetSpec.from_dict(dataset_options)
@@ -497,7 +493,8 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
     except (ValueError, TypeError) as exc:
         raise ParameterError(f"invalid demo config: {exc}") from exc
 
-    out_dir = _output_dir(merged)
+    out_dir = options["output_dir"]
+    out_dir.mkdir(parents=True, exist_ok=True)
     rarest = int(np.argmin(base_spec.class_pixel_fractions))
     results: dict[tuple[str, int], list[float]] = {}
     csv_lines = [
@@ -521,7 +518,7 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
             )
             ious = _format_each([*report.per_class_iou, report.mean_iou])
             csv_lines.append(f"{seed},{mode}," + ",".join(ious))
-            print(
+            _say(
                 f"seed {seed} {mode}: mean IoU {_f9(report.mean_iou)}, "
                 f"class {rarest} IoU {_f9(report.per_class_iou[rarest])}"
             )
@@ -532,7 +529,7 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
             results[("lmp", s)][rarest] > results[("uniform", s)][rarest]
             for s in seeds
         )
-        print(
+        _say(
             f"lmp beats uniform on class {rarest} IoU in "
             f"{wins} of {len(seeds)} paired seeds"
         )
@@ -541,6 +538,19 @@ def cmd_train_demo(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # parser plumbing
+
+# name -> (command, help, option table)
+_COMMANDS = {
+    "solve": (cmd_solve, "pool one loss vector from a file", _SOLVE_OPTIONS),
+    "weight-curves": (
+        cmd_weight_curves, "CSV of weight profiles over (p, m) grids", _CURVES_OPTIONS
+    ),
+    "oracle-audit": (
+        cmd_oracle_audit, "randomized solver-vs-oracle comparison", _AUDIT_OPTIONS
+    ),
+    "train-demo": (cmd_train_demo, "paired-seed training comparison", _DEMO_OPTIONS),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad flags; our contract reserves 2 for bad data."""
@@ -556,52 +566,22 @@ def _build_parser() -> _Parser:
         description="Adaptive loss pooling: solve, audit, and demo tools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sup = argparse.SUPPRESS
-
-    solve = sub.add_parser("solve", help="pool one loss vector from a file")
-    solve.add_argument("--losses", default=sup, help="CSV (one loss per line) or JSON array")
-    solve.add_argument("--p", default=sup, help="norm exponent in [1, inf], e.g. 1.3 or inf")
-    solve.add_argument("--m", default=sup, help="support parameter: absolute ('25') or percent ('25%%')")
-    solve.add_argument("--output", default=sup, help="output JSON path")
-    solve.add_argument("--output-dir", dest="output_dir", default=sup)
-    solve.add_argument("--config", default=None, help="JSON file of option defaults")
-    solve.set_defaults(func=cmd_solve)
-
-    curves = sub.add_parser("weight-curves", help="CSV of weight profiles over (p, m) grids")
-    curves.add_argument("--n", type=int, default=sup, help="number of synthetic losses")
-    curves.add_argument("--seed", type=int, default=sup)
-    curves.add_argument("--p-list", dest="p_list", default=sup, help="comma-separated p grid")
-    curves.add_argument("--m-list", dest="m_list", default=sup, help="comma-separated m grid")
-    curves.add_argument("--output", default=sup, help="output CSV path")
-    curves.add_argument("--output-dir", dest="output_dir", default=sup)
-    curves.add_argument("--config", default=None)
-    curves.set_defaults(func=cmd_weight_curves)
-
-    audit = sub.add_parser("oracle-audit", help="randomized solver-vs-oracle comparison")
-    audit.add_argument("--instances", type=int, default=sup)
-    audit.add_argument("--seed", type=int, default=sup)
-    audit.add_argument("--rel-tol", dest="rel_tol", type=float, default=sup)
-    audit.add_argument("--kkt-tol", dest="kkt_tol", type=float, default=sup)
-    audit.add_argument("--output-dir", dest="output_dir", default=sup)
-    audit.add_argument("--config", default=None)
-    audit.set_defaults(func=cmd_oracle_audit)
-
-    demo = sub.add_parser("train-demo", help="paired-seed training comparison")
-    demo.add_argument("--seeds", default=sup, help="comma-separated training seeds")
-    demo.add_argument("--modes", default=sup, help="comma-separated loss modes")
-    demo.add_argument("--sigma", type=float, default=sup, help="dataset feature noise")
-    demo.add_argument("--iterations", type=int, default=sup)
-    demo.add_argument("--output-dir", dest="output_dir", default=sup)
-    demo.add_argument("--config", default=None)
-    demo.set_defaults(func=cmd_train_demo)
+    for name, (_, summary, table) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for key, (_, _, text) in table.items():
+            if text is not None:
+                flag = "--" + key.replace("_", "-")
+                command.add_argument(flag, default=argparse.SUPPRESS, help=text)
+        command.add_argument("--output-dir", default=argparse.SUPPRESS)
+        command.add_argument("--config", help="JSON file of option defaults")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command, _, table = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        return command(_options(args, table))
     except InputDataError as exc:
         print(f"losspool: input error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -465,6 +465,9 @@ def kkt_residual(lam, losses, config: PoolingConfig) -> float:
 
 _AUDIT_P_CHOICES = (1.1, 1.3, 1.7, 2.0, 4.0)
 
+# Largest constraint violation a passing ascent may leave.
+MAX_VIOLATION = 1e-8
+
 
 def random_instance(rng: np.random.Generator, max_n: int = 50):
     """Draw one audit instance: losses (uniform or lognormal) and a config."""
@@ -498,26 +501,20 @@ class AuditRow:
 class AuditSummary:
     rows: list[AuditRow] = field(default_factory=list)
     elapsed_seconds: float = 0.0
+    # The checks each row must pass: AuditRow field -> largest passing value.
+    tolerances: dict[str, float] = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
         return all(row.passed for row in self.rows)
 
     @property
-    def worst_ascent_err(self) -> float:
-        return max((r.ascent_rel_err for r in self.rows), default=0.0)
-
-    @property
-    def worst_scan_err(self) -> float:
-        return max((r.scan_rel_err for r in self.rows), default=0.0)
-
-    @property
-    def worst_kkt(self) -> float:
-        return max((r.kkt_residual for r in self.rows), default=0.0)
-
-    @property
-    def worst_violation(self) -> float:
-        return max((r.constraint_violation for r in self.rows), default=0.0)
+    def worst(self) -> dict[str, float]:
+        """The largest value of each checked field over the rows."""
+        return {
+            key: max((getattr(row, key) for row in self.rows), default=0.0)
+            for key in self.tolerances
+        }
 
 
 def rel_err(a: float, b: float) -> float:
@@ -539,7 +536,10 @@ def run_audit(
     on max-normalized losses).
     """
     rng = np.random.default_rng(seed)
-    summary = AuditSummary()
+    summary = AuditSummary(tolerances={
+        "ascent_rel_err": rel_tol, "scan_rel_err": rel_tol,
+        "kkt_residual": kkt_tol, "constraint_violation": MAX_VIOLATION,
+    })
     started = time.perf_counter()
     for idx in range(instances):
         losses, config = random_instance(rng)
@@ -554,27 +554,23 @@ def run_audit(
             if scale > 0.0
             else 0.0
         )
-        summary.rows.append(
-            AuditRow(
-                index=idx,
-                n=losses.size,
-                p=config.p,
-                m=float(config.m),
-                solver_value=outcome.pooled_loss,
-                ascent_value=ascent.value,
-                scan_value=scan.value,
-                ascent_rel_err=err_a,
-                scan_rel_err=err_s,
-                kkt_residual=kkt,
-                constraint_violation=ascent.max_constraint_violation,
-                passed=(
-                    err_a <= rel_tol
-                    and err_s <= rel_tol
-                    and kkt <= kkt_tol
-                    and ascent.converged
-                    and ascent.max_constraint_violation <= 1e-8
-                ),
-            )
+        row = AuditRow(
+            index=idx,
+            n=losses.size,
+            p=config.p,
+            m=float(config.m),
+            solver_value=outcome.pooled_loss,
+            ascent_value=ascent.value,
+            scan_value=scan.value,
+            ascent_rel_err=err_a,
+            scan_rel_err=err_s,
+            kkt_residual=kkt,
+            constraint_violation=ascent.max_constraint_violation,
+            passed=False,
         )
+        row.passed = ascent.converged and all(
+            getattr(row, key) <= tol for key, tol in summary.tolerances.items()
+        )
+        summary.rows.append(row)
     summary.elapsed_seconds = time.perf_counter() - started
     return summary

@@ -32,20 +32,21 @@ __all__ = [
 ]
 
 
+# Factor on the confusion counts before each batch is added.
+DECAY = 0.99
+
+
 @dataclass
 class ClassStats:
     """Decayed confusion counts (rows = true class) and the IoU they imply."""
 
     num_classes: int
-    decay: float = 0.99
     confusion: np.ndarray = field(init=False)
     iou_history: list[list[float]] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
-        if not (0.0 < self.decay <= 1.0):
-            raise ValueError(f"decay must lie in (0, 1], got {self.decay!r}")
         self.confusion = np.zeros((self.num_classes, self.num_classes))
 
     @property
@@ -99,7 +100,7 @@ def update_stats(stats: ClassStats, predictions, labels) -> ClassStats:
     ):
         raise ValueError(f"class ids must lie in [0, {c})")
 
-    stats.confusion *= stats.decay
+    stats.confusion *= DECAY
     stats.confusion += confusion_counts(labels, predictions, c)
     stats.iou_history.append(stats.iou.tolist())
     return stats
@@ -115,7 +116,6 @@ class SamplerConfig:
 
     blend: float = 0.5
     epsilon: float = 0.01
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.blend <= 1.0):

@@ -46,6 +46,7 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "TrainingDivergence",
+    "as_integer",
     "check_crop_pooling",
     "class_pixel_counts",
     "generate_dataset",
@@ -73,10 +74,24 @@ def _check_keys(cls, data: dict, where: str) -> None:
             raise ValueError(f"unknown key {key!r} in {where}")
 
 
+def as_integer(value) -> int:
+    """``int(value)``, but a fraction or a bool is an error: 2.5 is not 2, true not 1."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _fields_over(default, data: dict, where: str) -> dict:
     """The fields ``data`` sets, each cast to the type of its value in ``default``."""
     _check_keys(type(default), data, where)
-    return {key: type(getattr(default, key))(value) for key, value in data.items()}
+    fields_set = {}
+    for key, value in data.items():
+        kind = type(getattr(default, key))
+        try:
+            fields_set[key] = as_integer(value) if kind is int else kind(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad {where}.{key} value {value!r}: {exc}") from None
+    return fields_set
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ the same ``losspool`` these tests imported, whether that is installed or on
 failure, 2 malformed input data, 3 invalid parameters.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ import losspool
 from losspool.cli import (
     InputDataError,
     _ARRAY_CHUNK,
+    _build_parser,
     _write_json,
     main,
     parse_pooling,
@@ -709,8 +711,7 @@ class TestTrainDemoCommand:
             b'    "crop_size": [12, 12],\n'
             b'    "sampler": {\n'
             b'      "blend": 0.5,\n'
-            b'      "epsilon": 0.01,\n'
-            b'      "seed": 0\n'
+            b'      "epsilon": 0.01\n'
             b'    },\n'
             b'    "weight_decay": 0.0001,\n'
             b'    "seed": 1\n'
@@ -729,9 +730,9 @@ class TestTrainDemoCommand:
             b'1,lmp,0.95640930919837464,0.6205607476635514,0.016666666666666666,0.53121224117619759\n'
         )
         models = {
-            "uniform": "04a5f058b78669bf37703e101fad014aadbfe1c76155c148466e8744d0d5571d",
-            "inverse_median_freq": "b9ff5d0baad5d96d4e049ba29649a23db10dc25d0c0c02efa5523d443083422c",
-            "lmp": "860d67c94a032445ca65c6dfae7bdfdfaaa85c98b8f92f65c6b6dc60689f2ce0",
+            "uniform": "c211ce3ee5476baf19f627381adc01cf754ea7433d7481c8478b6d50dc8c6ee3",
+            "inverse_median_freq": "e2036c6d592ec1f67e571c615599ebfdefb4490e0345b747b36c3ff7b154f801",
+            "lmp": "754195017ac8f34066b72dac42eaa49b061bc8c7d70709f63b6d7ff0dc67e4e6",
         }
         for mode, digest in models.items():
             data = (out / f"model_{mode}_seed1.bin").read_bytes()
@@ -765,7 +766,86 @@ class TestTrainDemoCommand:
         assert code == 3
 
 
-def run_module(*argv):
+class TestOptionTables:
+    """Every option is converted once, whether it comes as a flag or a config key."""
+
+    FLAGS = {
+        "solve": {"--losses", "--p", "--m", "--output"},
+        "weight-curves": {"--n", "--seed", "--p-list", "--m-list", "--output"},
+        "oracle-audit": {"--instances", "--seed", "--rel-tol", "--kkt-tol"},
+        "train-demo": {"--seeds", "--modes", "--sigma", "--iterations"},
+    }
+
+    def test_each_subcommand_has_exactly_its_flags(self):
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(self.FLAGS)
+        for command, flags in self.FLAGS.items():
+            found = {
+                flag
+                for action in sub.choices[command]._actions
+                for flag in action.option_strings
+            }
+            assert found == flags | {"-h", "--help", "--output-dir", "--config"}, command
+
+    @pytest.mark.parametrize(
+        "command,key,text,value",
+        [
+            ("weight-curves", "n", "2.5", 2.5),
+            ("oracle-audit", "instances", "0", 0),
+            ("oracle-audit", "seed", "-1", -1),
+            ("train-demo", "seeds", "1,x", "1,-2"),
+            ("train-demo", "iterations", "2.5", 2.5),
+            ("train-demo", "sigma", "noisy", "noisy"),
+        ],
+    )
+    def test_bad_value_exits_3_naming_the_key_as_flag_and_as_config(
+        self, tmp_path, capsys, command, key, text, value
+    ):
+        flag = "--" + key.replace("_", "-")
+        out = ["--output-dir", str(tmp_path / "out")]
+        assert main([command, flag, text, *out]) == 3
+        assert f"bad {key} value {text!r}" in capsys.readouterr().err
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        assert main([command, "--config", str(config), *out]) == 3
+        assert f"bad {key} value {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,config_doc,key",
+        [
+            ("oracle-audit", {"instances": 2.5}, "instances"),
+            ("oracle-audit", {"instances": 2, "seed": True}, "seed"),
+            ("weight-curves", {"n": True}, "n"),
+            ("train-demo", {"train": {"iterations": 2.5}}, "train.iterations"),
+            ("train-demo", {"dataset": {"images": 10.9}}, "dataset.images"),
+            ("train-demo", {"train": {"batch_crops": True}}, "train.batch_crops"),
+        ],
+    )
+    def test_integer_options_reject_fractions_and_bools(
+        self, tmp_path, capsys, command, config_doc, key
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(config_doc))
+        code = main(
+            [command, "--config", str(config), "--output-dir", str(tmp_path / "out")]
+            + (["--seeds", "1", "--modes", "uniform"] if command == "train-demo" else [])
+        )
+        assert code == 3
+        assert f"bad {key} value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_json_numbers_are_integers(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"instances": 2.0, "seed": 4.0}))
+        code = main(["oracle-audit", "--config", str(config), "--output-dir", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "audit_report.json").read_text())
+        assert (report["instances"], report["seed"]) == (2, 4)
+
+
+def run_module(*argv, python_flags=(), stdout=subprocess.PIPE):
     """Run ``python -m losspool *argv`` in a child process."""
     # The autouse fixture has changed directory, so a relative PYTHONPATH
     # (such as ``src``) no longer resolves; point the child at the
@@ -776,8 +856,9 @@ def run_module(*argv):
         filter(None, [package_root, env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, "-m", "losspool", *argv],
-        capture_output=True,
+        [sys.executable, *python_flags, "-m", "losspool", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         timeout=60,
@@ -804,3 +885,39 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.count("RuntimeWarning") == 1, proc.stderr
+
+    @pytest.mark.parametrize("python_flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv,code,written",
+        [
+            (["solve", "--losses", "{losses}", "--p", "2", "--m", "1"], 0,
+             ["losspool_solve.json"]),
+            (["oracle-audit", "--instances", "3"], 0, ["audit_report.json"]),
+            (["oracle-audit", "--instances", "3", "--rel-tol", "0"], 1,
+             ["audit_report.json"]),
+            (["weight-curves", "--n", "20"], 0, ["weight_curves.csv"]),
+            (["train-demo", "--seeds", "1,2", "--modes", "uniform", "--iterations", "2"],
+             0, ["report_uniform_seed2.json", "model_uniform_seed2.bin",
+                 "iou_by_class.csv"]),
+        ],
+        ids=["solve", "audit-pass", "audit-fail", "weight-curves", "train-demo"],
+    )
+    def test_closed_stdout_keeps_files_and_exit_code(
+        self, tmp_path, python_flags, argv, code, written
+    ):
+        losses = write_losses(tmp_path / "l.csv", [3.0, 1.0])
+        argv = [arg.format(losses=losses) for arg in argv]
+        # The reader has gone before the command prints its first line.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_module(
+                *argv, "--output-dir", str(tmp_path),
+                python_flags=python_flags, stdout=write_end,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        for name in written:
+            assert (tmp_path / name).is_file(), name

@@ -414,7 +414,8 @@ class TestAudit:
     def test_small_audit_passes(self):
         summary = run_audit(instances=25, seed=123)
         assert summary.all_passed
-        assert max(summary.worst_ascent_err, summary.worst_scan_err) < 1e-8
+        worst = summary.worst
+        assert max(worst["ascent_rel_err"], worst["scan_rel_err"]) < 1e-8
         assert len(summary.rows) == 25
 
     def test_audit_is_reproducible(self):

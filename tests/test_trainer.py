@@ -185,7 +185,7 @@ class TestTrainConfig:
         config = TrainConfig(
             loss_mode="lmp",
             pooling=PoolingConfig(p=2.0, m=5.0),
-            sampler=SamplerConfig(blend=0.25, epsilon=0.02, seed=3),
+            sampler=SamplerConfig(blend=0.25, epsilon=0.02),
             iterations=12,
         )
         assert TrainConfig.from_dict(asdict(config)) == config
@@ -209,7 +209,7 @@ class TestTrainConfig:
 
     def test_partial_sampler_dict_keeps_the_other_defaults(self):
         config = TrainConfig.from_dict({"sampler": {"blend": 0.5}})
-        assert config.sampler == SamplerConfig(blend=0.5, epsilon=0.01, seed=0)
+        assert config.sampler == SamplerConfig(blend=0.5, epsilon=0.01)
 
     @pytest.mark.parametrize(
         "overrides",
