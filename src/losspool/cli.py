@@ -42,6 +42,7 @@ from .trainer import (
     TrainConfig,
     TrainingDivergence,
     as_integer,
+    as_real,
     check_crop_pooling,
     class_pixel_counts,
     generate_dataset,
@@ -407,8 +408,8 @@ def cmd_weight_curves(options: dict) -> int:
 _AUDIT_OPTIONS = {
     "instances": (500, _count, "number of random instances"),
     "seed": (0, _seed, "seed of the random instances"),
-    "rel_tol": (1e-4, float, "largest passing relative gap to either oracle"),
-    "kkt_tol": (1e-6, float, "largest passing KKT residual"),
+    "rel_tol": (1e-4, as_real, "largest passing relative gap to either oracle"),
+    "kkt_tol": (1e-6, as_real, "largest passing KKT residual"),
 }
 
 # Printed label of each audit check, keyed like AuditSummary.worst.
@@ -457,7 +458,7 @@ def cmd_oracle_audit(options: dict) -> int:
 _DEMO_OPTIONS = {
     "seeds": ("1,2,3,4,5", _seeds, "comma-separated training seeds"),
     "modes": ("uniform,lmp", _split, "comma-separated loss modes"),
-    "sigma": (None, float, "dataset feature noise"),
+    "sigma": (None, as_real, "dataset feature noise"),
     "iterations": (None, _count, "training iterations per run"),
     "dataset": ({}, dict, None),
     "train": ({}, dict, None),

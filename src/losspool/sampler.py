@@ -34,30 +34,30 @@ __all__ = [
 
 # Factor on the confusion counts before each batch is added.
 DECAY = 0.99
+# How far class probabilities may sum from 1, as numpy's Generator.choice allows.
+_SUM_TOL = np.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass
 class ClassStats:
-    """Decayed confusion counts (rows = true class) and the IoU they imply."""
+    """Decayed confusion counts (rows = true class) and the IoU they imply.
+
+    :func:`update_stats` refreshes ``iou`` (classes never seen count as 1) and
+    ``present``, the classes observed as ground truth (post decay).
+    """
 
     num_classes: int
     confusion: np.ndarray = field(init=False)
+    iou: np.ndarray = field(init=False)
+    present: np.ndarray = field(init=False)
     iou_history: list[list[float]] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
         self.confusion = np.zeros((self.num_classes, self.num_classes))
-
-    @property
-    def iou(self) -> np.ndarray:
-        """Per-class IoU of the decayed counts; classes never seen count as 1."""
-        return confusion_iou(self.confusion)[0]
-
-    @property
-    def present(self) -> np.ndarray:
-        """Classes observed as ground truth at least once (post decay)."""
-        return self.confusion.sum(axis=1) > 0
+        self.iou = np.ones(self.num_classes)
+        self.present = np.zeros(self.num_classes, dtype=bool)
 
 
 def confusion_counts(labels, predictions, num_classes: int) -> np.ndarray:
@@ -102,6 +102,8 @@ def update_stats(stats: ClassStats, predictions, labels) -> ClassStats:
 
     stats.confusion *= DECAY
     stats.confusion += confusion_counts(labels, predictions, c)
+    stats.iou = confusion_iou(stats.confusion)[0]
+    stats.present = stats.confusion.sum(axis=1) > 0
     stats.iou_history.append(stats.iou.tolist())
     return stats
 
@@ -144,8 +146,13 @@ def class_distribution(stats: ClassStats, config: SamplerConfig) -> np.ndarray:
 def sample_class(
     stats: ClassStats, config: SamplerConfig, rng: np.random.Generator
 ) -> int:
-    """Draw one class id from :func:`class_distribution`."""
-    return int(rng.choice(stats.num_classes, p=class_distribution(stats, config)))
+    """Draw one class id from :func:`class_distribution`, as ``rng.choice`` would."""
+    p = class_distribution(stats, config)
+    if not (np.all(p >= 0.0) and abs(p.sum() - 1.0) <= _SUM_TOL):
+        raise ValueError(f"class probabilities {p!r} are not a distribution")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 class CropAnchor(NamedTuple):

@@ -168,152 +168,164 @@ class SolveOutcome:
     ----------
     pooled_loss : the maximised weighted loss (upper bound on the mean).
     alpha_star : threshold separating capped pixels from shrunk ones.
-    support : original indices of pixels pooled at the cap ``tau``.
+    support : original indices of pixels pooled at the cap ``tau``, ascending.
     weights : optimal weighting, same length and order as the input losses.
     dual : optimal dual vector ``max(l - alpha_star, 0)``.
+
+    A solve given ``sizes`` has one pooled loss and threshold per segment.
     """
 
-    pooled_loss: float
-    alpha_star: float
+    pooled_loss: float | np.ndarray
+    alpha_star: float | np.ndarray
     support: np.ndarray
     weights: np.ndarray
     dual: np.ndarray
 
 
-def solve_pool(losses, config: PoolingConfig) -> SolveOutcome:
+def solve_pool(losses, config: PoolingConfig, sizes=None) -> SolveOutcome:
     """Maximise the weighted loss over the pooling family.
 
     For ``p = 1`` (and for ``q`` beyond ``Q_CAP``) the ``floor(m)`` largest
     losses are capped and the fractional part of ``m`` is spread over the
     losses tied at the next value; otherwise the threshold comes from the
-    log-domain scan of :func:`_solve_threshold_scan`.  Both work on the
-    losses as given, so any positive loss, down to the smallest subnormal,
-    stays distinct from zero.  All-zero losses give the all-zero outcome;
+    log-domain scan of :func:`_solve_threshold_scan`.  Both work on the losses as
+    given, so any positive loss, down to the smallest subnormal, stays
+    distinct from zero.  All-zero losses give the all-zero outcome;
     ``p = inf`` and ``m = n`` give the plain mean with uniform weights.  The
     returned weighting is feasible, its inner product with the losses equals
     ``pooled_loss``, and ``pooled_loss >= mean(losses)``.  ``alpha_star`` is
     ``inf`` when the threshold lies beyond float64 range; the pooled value
     and the weights stay finite.
+
+    ``sizes`` splits the losses into consecutive segments of ``sizes[b]``
+    losses, each pooled on its own with ``m`` resolved against its own
+    length (one solve for a batch of crops).  ``pooled_loss`` and
+    ``alpha_star`` are then arrays with one entry per segment, while
+    ``weights``, ``dual`` and ``support`` stay indexed like ``losses``.
+    Every segment's outcome is bit for bit the one of its own call.  The
+    segments are padded to the longest, ``len(sizes) * max(sizes)`` losses.
     """
     values = as_loss_vector(losses)
-    params = config.resolve(values.size)
-    n = values.size
-
-    if not values.any():
-        zero = np.zeros(n)
-        return SolveOutcome(
-            pooled_loss=0.0,
-            alpha_star=0.0,
-            support=np.empty(0, dtype=np.intp),
-            weights=zero,
-            dual=zero.copy(),
-        )
-
-    if math.isinf(params.q):
-        alpha_star, support, weights, below = _solve_hard_top(values, params)
+    n = np.array([values.size] if sizes is None else sizes)
+    if n.ndim != 1 or n.dtype.kind not in "iu" or (n < 1).any() or n.sum() != values.size:
+        raise ValueError(f"sizes must be positive integers summing to len(losses), got {sizes!r}")
+    resolved = {size: config.resolve(size) for size in set(n.tolist())}
+    rows = [resolved[size] for size in n.tolist()]
+    m, tau, q = np.array([r.m for r in rows]), np.array([r.tau for r in rows]), rows[0].q
+    # One row per segment, right-aligned behind zero padding, which the
+    # stable sort puts before every loss of its row.
+    B, N = n.size, int(n.max())
+    if B * N == values.size:
+        padded, unpad = values.reshape(B, N), np.ravel
     else:
-        alpha_star, support, weights, below = _solve_threshold_scan(values, params)
+        valid = np.arange(N) >= (N - n)[:, None]
+        padded, unpad = np.zeros((B, N)), lambda a: a[valid]
+        padded[valid] = values
+    # Flat positions of each row's losses in ascending order.
+    order = (np.argsort(padded, axis=1, kind="stable") + N * np.arange(B)[:, None]).ravel()
+    s = padded.ravel()[order].reshape(B, N)
+    solve = _solve_hard_top if math.isinf(q) else _solve_threshold_scan
+    stop, alpha, below, shrunk = solve(s, n, m, q, tau)
+    capped = np.arange(N) >= stop[:, None]
+    sorted_weights = np.where(capped, tau[:, None], shrunk)
 
-    if math.isinf(params.p) or params.m == n:
-        # The cap equals the uniform weight here, so the optimum is the plain
-        # mean; computing it directly keeps the upper bound exact at the
-        # boundary and the weights exactly uniform.
-        # The mean is taken on losses scaled down by a power of two only when
-        # their sum could pass the float64 maximum, so it cannot overflow and
-        # keeps its bytes everywhere else.
-        weights = np.full(n, 1.0 / n)
-        k = max(0, math.frexp(float(values.max()))[1] + (n - 1).bit_length() - 1024)
-        pooled = math.ldexp(float(np.ldexp(values, -k).mean()), k)
-    else:
-        # Scaling by tau first keeps every partial sum below the largest
-        # loss (tau * |support| <= 1), so it cannot overflow.
-        pooled = float((params.tau * values[support]).sum()) + below
-
-    dual = np.maximum(values - alpha_star, 0.0)
+    # The cap equals the uniform weight here, so the optimum is the plain
+    # mean; computing it directly keeps the upper bound exact at the
+    # boundary and the weights exactly uniform.
+    mean = (s[:, -1] > 0) & (math.isinf(config.p) | (m == n))
+    sorted_weights[mean] = (1.0 / n[mean])[:, None]
+    weights, in_support = np.empty(B * N), np.empty(B * N, dtype=bool)
+    weights[order], in_support[order] = sorted_weights.ravel(), capped.ravel()
+    weights = unpad(weights.reshape(B, N))
+    support = np.flatnonzero(unpad(in_support.reshape(B, N)))
+    # Scaling by tau first keeps every partial sum below the largest loss
+    # (tau * |support| <= 1), so it cannot overflow.
+    scaled = values[support] * np.repeat(tau, N - stop)
+    pooled, start, first = [], 0, 0
+    for size, count, share, top, is_mean in zip(
+        n.tolist(), (N - stop).tolist(), below.tolist(), s[:, -1].tolist(), mean
+    ):
+        if is_mean:
+            # The mean is taken on losses scaled down by a power of two only
+            # when their sum could pass the float64 maximum, so it cannot
+            # overflow and keeps its bytes everywhere else.
+            k = max(0, math.frexp(top)[1] + (size - 1).bit_length() - 1024)
+            pooled.append(math.ldexp(float(np.ldexp(values[start:start + size], -k).mean()), k))
+        else:
+            # Each segment's own sum over its support, in index order.
+            pooled.append(float(scaled[first:first + count].sum()) + share)
+        start, first = start + size, first + count
+    dual = unpad(np.maximum(padded - alpha[:, None], 0.0))
     return SolveOutcome(
-        pooled_loss=pooled,
-        alpha_star=alpha_star,
+        pooled_loss=pooled[0] if sizes is None else np.array(pooled),
+        alpha_star=float(alpha[0]) if sizes is None else alpha,
         support=support,
         weights=weights,
         dual=dual,
     )
 
 
-def _solve_threshold_scan(values: np.ndarray, params: ResolvedPooling):
+def _solve_threshold_scan(s, n, m, q, tau):
     """Largest root of the threshold equation by an ascending scan, for finite q.
 
     The threshold ``alpha`` solves ``(m - |J|) * alpha**q = sum(l**q)`` over
-    the losses not in ``J``, the set of losses above ``alpha``.  With the
-    losses sorted ascending as ``s``, ``c_k = m - n + k`` and
+    the losses not in ``J``, the set of losses above ``alpha``.  With a
+    row's losses sorted ascending as ``s``, ``c_k = m - n + k`` and
     ``A_k = s_1**q + ... + s_k**q``, the scan stops at the first ``k`` with
     ``c_k > A_k / s_k**q``; the losses from ``k`` on are capped.  ``A_k`` is
     accumulated as ``log A_k`` from ``q log s`` (``np.logaddexp``), so no
     power of a loss under- or overflows whatever ``q`` and the spread of the
     losses, and the ratio ``A_k / s_k**q`` lies in ``[1, k]``.  Zero losses
-    add nothing to ``A_k`` and never stop the scan, so they are sliced off
-    before the log.
+    and padding have ``log s = -inf``: they add nothing to ``A_k`` and never
+    stop the scan.
 
-    Returns ``(alpha, support_indices, weights, below)``, where ``below`` is
-    the pooled share ``tau * (m - |support|) * alpha`` of the losses under
-    the cap.
+    ``s`` holds the sorted rows and ``n``, ``m`` and ``tau`` the per-row
+    parameters.  Returns ``(stop, alpha, below, shrunk)``: the sorted
+    position of each row's smallest capped loss, the threshold, the pooled
+    share ``tau * (m - |support|) * alpha`` of the losses under the cap, and
+    the weights of those losses in sorted order.  The per-row logs and exps
+    are ``math`` calls, as ``np.log`` and ``np.exp`` round differently.
     """
-    n, m, q, tau = params.n, params.m, params.q, params.tau
-
-    order = np.argsort(values, kind="stable")
-    s = values[order]
-    zeros = int(np.searchsorted(s, 0.0, side="right"))
-    top = float(s[-1])
-    # Logs relative to the largest loss keep every exp() argument below
-    # log(n): alpha's rounding then does not depend on the magnitude of the
-    # losses, and alpha = top * exp(...) overflows to inf without an error.
-    log_s = np.log(s[zeros:]) - math.log(top)
-    log_powers = q * log_s
-    log_prefix = np.logaddexp.accumulate(log_powers)
-    counts = (m - n) + np.arange(zeros + 1, n + 1)
-    # A c_k <= 0 never passes, as A_k / s_k**q >= 1.
-    hits = np.flatnonzero(counts > np.exp(log_prefix - log_powers))
-    # Sorted position of the smallest capped loss (n: nothing is capped).
-    stop = zeros + int(hits[0]) if hits.size else n
-    shrunk = stop - zeros  # positive losses under the cap
-    rest = m - (n - stop)  # m - |support| > 0
-    log_a = log_prefix[shrunk - 1] if shrunk else -math.inf
-    log_alpha = (log_a - math.log(rest)) / q  # log(alpha / top), <= log(n)
-
-    support = np.sort(order[stop:])
-    weights = np.zeros(n)
-    weights[support] = tau
-    weights[order[zeros:stop]] = tau * np.exp(
-        (q - 1.0) * (log_s[:shrunk] - log_alpha)
-    )
-    ratio = math.exp(log_alpha)  # alpha / top
-    # alpha may pass the float64 maximum and become inf; the pooled share
-    # tau * rest * alpha is at most the largest loss, and multiplying by top
-    # last keeps it finite.
-    return ratio * top, support, weights, tau * rest * ratio * top
+    N = s.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Logs relative to the largest loss keep every exp() argument below
+        # log(n): alpha's rounding then does not depend on the magnitude of
+        # the losses, and alpha = top * exp(...) overflows to inf without an
+        # error.
+        top = s[:, -1]
+        log_top = np.array([math.log(t) if t > 0 else 0.0 for t in top.tolist()])
+        log_s = np.log(s) - log_top[:, None]
+        log_powers = q * log_s
+        log_prefix = np.logaddexp.accumulate(log_powers, axis=1)
+        counts = (m - n)[:, None] + (np.arange(1, N + 1) - (N - n)[:, None])
+        # A c_k <= 0 never passes, as A_k / s_k**q >= 1.
+        hits = counts > np.exp(log_prefix - log_powers)
+        stop = np.where(hits.any(axis=1), hits.argmax(axis=1), N)
+        rest = m - (N - stop)  # m - |support| > 0
+        log_a = np.where(stop > 0, log_prefix[np.arange(s.shape[0]), stop - 1], -np.inf)
+        log_alpha = (log_a - np.array([math.log(r) for r in rest.tolist()])) / q
+        ratio = np.array([math.exp(x) for x in log_alpha.tolist()])  # alpha / top
+        shrunk = tau[:, None] * np.exp((q - 1.0) * (log_s - log_alpha[:, None]))
+        # alpha may pass the float64 maximum and become inf; the pooled share
+        # tau * rest * alpha is at most the largest loss, and multiplying by
+        # top last keeps it finite.
+        alpha, below = ratio * top, tau * rest * ratio * top
+    return stop, alpha, below, np.where(s > 0, shrunk, 0.0)
 
 
-def _solve_hard_top(values: np.ndarray, params: ResolvedPooling):
+def _solve_hard_top(s, n, m, q, tau):
     """p = 1 limit: cap the floor(m) largest losses, split the remainder.
 
     The fractional part of ``m`` spreads uniformly over the pixels tied at
-    the threshold (none if the threshold is zero).  Returns
-    ``(alpha, support_indices, weights, below)`` like
-    :func:`_solve_threshold_scan`.
+    the threshold (none if the threshold is zero).  A row without a positive
+    loss caps nothing.  Takes and returns what :func:`_solve_threshold_scan` does.
     """
-    n, m, tau = params.n, params.m, params.tau
-    k = int(math.floor(m))
-    k = min(k, n)
-
-    order = np.argsort(values, kind="stable")
-    s = values[order]
-    support = np.sort(order[n - k:])
-    alpha = float(s[n - k - 1]) if n - k >= 1 else 0.0
-
-    weights = np.zeros(n)
-    weights[support] = tau
+    N = s.shape[1]
+    k = np.where(s[:, -1] > 0, np.minimum(np.floor(m), n), 0).astype(np.intp)
+    stop = N - k
+    alpha = np.where(k < n, s[np.arange(s.shape[0]), stop - 1], 0.0)
     frac = m - k
-    if frac > 0.0 and alpha > 0.0:
-        lo = int(np.searchsorted(s, alpha, side="left"))
-        tied = order[lo: n - k]
-        weights[tied] = tau * frac / tied.size
-    return alpha, support, weights, tau * frac * alpha
+    split = (frac > 0.0) & (alpha > 0.0)
+    tied = (s == alpha[:, None]) & (np.arange(N) < stop[:, None]) & split[:, None]
+    share = tau * frac / np.maximum(tied.sum(axis=1), 1)
+    return stop, alpha, tau * frac * alpha, np.where(tied, share[:, None], 0.0)

@@ -12,6 +12,9 @@ are supported:
 * ``lmp`` — the pooling solver, weighting pixels by the optimal adaptive
   weights and backpropagating through them.
 
+The step is batched per iteration: the crops are drawn one by one, then one
+loss, one segmented solve and one gradient pass cover them all.
+
 Everything is deterministic under the config seed, down to bit-exact loss
 histories, so paired-seed comparisons between reductions are meaningful.
 """
@@ -47,6 +50,7 @@ __all__ = [
     "TrainReport",
     "TrainingDivergence",
     "as_integer",
+    "as_real",
     "check_crop_pooling",
     "class_pixel_counts",
     "generate_dataset",
@@ -81,6 +85,13 @@ def as_integer(value) -> int:
     return int(value)
 
 
+def as_real(value) -> float:
+    """``float(value)``, but a bool is an error: true is not 1.0."""
+    if isinstance(value, bool):
+        raise ValueError("not a number")
+    return float(value)
+
+
 def _fields_over(default, data: dict, where: str) -> dict:
     """The fields ``data`` sets, each cast to the type of its value in ``default``."""
     _check_keys(type(default), data, where)
@@ -88,7 +99,7 @@ def _fields_over(default, data: dict, where: str) -> dict:
     for key, value in data.items():
         kind = type(getattr(default, key))
         try:
-            fields_set[key] = as_integer(value) if kind is int else kind(value)
+            fields_set[key] = {int: as_integer, float: as_real}.get(kind, kind)(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad {where}.{key} value {value!r}: {exc}") from None
     return fields_set
@@ -320,6 +331,9 @@ class TrainConfig:
         default = cls()
         pooling = data.get("pooling") or {}
         _check_keys(PoolingConfig, pooling, "train.pooling")
+        for key, value in pooling.items():
+            if isinstance(value, bool):
+                raise ValueError(f"bad train.pooling.{key} value {value!r}: not a number")
         sampler = data.get("sampler")
         flat = {k: v for k, v in data.items() if k not in ("pooling", "sampler")}
         return cls(
@@ -416,12 +430,14 @@ def check_crop_pooling(
 def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
     """Momentum SGD over random crops with the configured loss reduction.
 
-    Per iteration: draw ``batch_crops`` crop anchors (uniform, or via the
-    complementary sampler when configured), compute per-pixel softmax
-    losses, reduce them according to ``loss_mode``, backpropagate through
-    the per-pixel weighting, and take one optimiser step with poly-decayed
-    learning rate.  Raises :class:`TrainingDivergence` on non-finite loss
-    or parameters.
+    Per iteration: draw ``batch_crops`` crop anchors one by one (uniform,
+    or via the complementary sampler when configured, which sees each crop's
+    predictions before the next draw).  Then, once for all the crops,
+    compute per-pixel softmax losses, reduce each crop's losses according
+    to ``loss_mode`` (one segmented solve in ``lmp``), backpropagate
+    through the per-pixel weighting, and take one optimiser step with
+    poly-decayed learning rate.  Raises :class:`TrainingDivergence` on
+    non-finite loss or parameters.
     """
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -452,42 +468,44 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
     loss_history: list[float] = []
     for iteration in range(config.iterations):
         lr = poly_lr(config.lr0, config.poly_power, iteration, config.iterations)
-        grad = np.zeros_like(weights)
-        step_loss = 0.0
+        crops, logits, labels = [], [], []
         for _ in range(config.batch_crops):
             if stats is not None:
                 anchor_class = sample_class(stats, config.sampler, rng)
-                anchor = pick_crop(crop_index, anchor_class, rng)
-                img, row, col = anchor.image, anchor.row, anchor.col
+                img, row, col, _ = pick_crop(crop_index, anchor_class, rng)
             else:
-                img = int(rng.integers(train_idx.size))
-                row = int(rng.integers(h))
-                col = int(rng.integers(w))
-            r0, r1 = _clipped_window(row, ch, h)
-            c0, c1 = _clipped_window(col, cw, w)
-            image_index = train_idx[img]
-            feats = dataset.features[image_index, r0:r1, c0:c1].reshape(-1, num_features)
-            labels = dataset.labels[image_index, r0:r1, c0:c1].reshape(-1)
-            x = np.concatenate([feats, np.ones((feats.shape[0], 1))], axis=1)
-            logits = x @ weights
-            result = softmax_xent(SegBatch(logits=logits, labels=labels))
-            n = labels.size
-
-            if config.loss_mode == "uniform":
-                pixel_weights = np.full(n, 1.0 / n)
-                crop_loss = float(result.losses.mean())
-            elif config.loss_mode == "inverse_median_freq":
-                pixel_weights = class_weights[labels] / n
-                crop_loss = float(pixel_weights @ result.losses)
-            else:
-                outcome = solve_pool(result.losses, config.pooling)
-                pixel_weights = outcome.weights
-                crop_loss = outcome.pooled_loss
-
-            grad += x.T @ backprop_pooled(result, pixel_weights)
-            step_loss += crop_loss
+                img, row, col = (int(rng.integers(k)) for k in (train_idx.size, h, w))
+            rows, cols = _clipped_window(row, ch, h), _clipped_window(col, cw, w)
+            window = (train_idx[img], slice(*rows), slice(*cols))
+            feats = dataset.features[window].reshape(-1, num_features)
+            crops.append(np.concatenate([feats, np.ones((feats.shape[0], 1))], axis=1))
+            logits.append(crops[-1] @ weights)
+            labels.append(dataset.labels[window].reshape(-1))
             if stats is not None:
-                update_stats(stats, logits.argmax(axis=1), labels)
+                update_stats(stats, logits[-1].argmax(axis=1), labels[-1])
+
+        # One loss, solve and gradient pass over the iteration's crops.
+        sizes = [x.shape[0] for x in crops]
+        labels = np.concatenate(labels)
+        result = softmax_xent(SegBatch(logits=np.concatenate(logits), labels=labels))
+        bounds = np.cumsum([0, *sizes]).tolist()
+        if config.loss_mode == "lmp":
+            outcome = solve_pool(result.losses, config.pooling, sizes=sizes)
+            pixel_weights, crop_losses = outcome.weights, outcome.pooled_loss.tolist()
+        else:
+            n = np.repeat(sizes, sizes)
+            pixel_weights = 1.0 / n if class_weights is None else class_weights[labels] / n
+            crop_losses = [
+                float(result.losses[a:b].mean() if class_weights is None
+                      else pixel_weights[a:b] @ result.losses[a:b])
+                for a, b in zip(bounds, bounds[1:])
+            ]
+        pixel_grad = backprop_pooled(result, pixel_weights)
+        # Crop by crop: one matmul over all the crops rounds differently.
+        grad, step_loss = np.zeros_like(weights), 0.0
+        for x, a, b, crop_loss in zip(crops, bounds, bounds[1:], crop_losses):
+            grad += x.T @ pixel_grad[a:b]
+            step_loss += crop_loss
 
         grad /= config.batch_crops
         step_loss /= config.batch_crops

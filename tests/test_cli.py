@@ -836,6 +836,35 @@ class TestOptionTables:
         assert f"bad {key} value" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command,config_doc,key",
+        [
+            ("oracle-audit", {"rel_tol": True}, "rel_tol"),
+            ("oracle-audit", {"kkt_tol": False}, "kkt_tol"),
+            ("train-demo", {"sigma": True}, "sigma"),
+            ("train-demo", {"train": {"lr0": True}}, "train.lr0"),
+            ("train-demo", {"train": {"pooling": {"p": True}}}, "train.pooling.p"),
+            ("train-demo", {"train": {"pooling": {"m": True}}}, "train.pooling.m"),
+            ("train-demo", {"train": {"pooling": {"m_fraction": True}}},
+             "train.pooling.m_fraction"),
+            ("train-demo", {"train": {"sampler": {"blend": True}}}, "train.sampler.blend"),
+            ("train-demo", {"dataset": {"feature_noise": True}}, "dataset.feature_noise"),
+        ],
+    )
+    def test_float_options_reject_bools(self, tmp_path, capsys, command, config_doc, key):
+        # float(True) is 1.0: without the check these ran with a tolerance,
+        # a learning rate or a pooling parameter of 1.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(config_doc))
+        code = main(
+            [command, "--config", str(config), "--output-dir", str(tmp_path / "out")]
+            + (["--seeds", "1", "--modes", "lmp", "--iterations", "1"]
+               if command == "train-demo" else ["--instances", "2"])
+        )
+        assert code == 3
+        assert f"bad {key} value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_integral_json_numbers_are_integers(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"instances": 2.0, "seed": 4.0}))

@@ -15,6 +15,7 @@ from losspool.sampler import (
     CropIndex,
     SamplerConfig,
     class_distribution,
+    confusion_iou,
     pick_crop,
     sample_class,
     update_stats,
@@ -206,6 +207,53 @@ class TestSampleClass:
         ]
         assert runs[0] == runs[1]
         assert runs[0][0] == first[0]
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_draws_the_indices_of_rng_choice(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        stats = ClassStats(num_classes=int(rng.integers(2, 7)))
+        config = SamplerConfig(blend=float(rng.uniform()), epsilon=0.01)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for step in range(10_000):
+            if step % 100 == 0:
+                # Move the distribution now and then, as training does.
+                size = int(rng.integers(1, 50))
+                update_stats(
+                    stats,
+                    rng.integers(0, stats.num_classes, size),
+                    rng.integers(0, stats.num_classes, size),
+                )
+            p = class_distribution(stats, config)
+            assert sample_class(stats, config, ours) == int(
+                theirs.choice(stats.num_classes, p=p)
+            )
+
+    @pytest.mark.parametrize(
+        "p", [[0.5, 0.6, 0.0], [-0.1, 0.6, 0.5], [np.nan, 0.5, 0.5], [0.3, 0.3, 0.3]]
+    )
+    def test_non_distribution_raises(self, monkeypatch, p):
+        from losspool import sampler as sampler_module
+
+        monkeypatch.setattr(sampler_module, "class_distribution", lambda *_: np.array(p))
+        with pytest.raises(ValueError, match="not a distribution"):
+            sample_class(ClassStats(num_classes=3), SamplerConfig(), np.random.default_rng(0))
+
+
+class TestStoredIou:
+    def test_matches_the_confusion_counts_after_every_update(self):
+        rng = np.random.default_rng(5)
+        stats = ClassStats(num_classes=4)
+        np.testing.assert_array_equal(stats.iou, confusion_iou(stats.confusion)[0])
+        np.testing.assert_array_equal(stats.present, stats.confusion.sum(axis=1) > 0)
+        for _ in range(200):
+            size = int(rng.integers(0, 30))
+            # Labels from a shrinking range, so classes drop in and out.
+            labels = rng.integers(0, int(rng.integers(1, 5)), size)
+            update_stats(stats, rng.integers(0, 4, size), labels)
+            np.testing.assert_array_equal(stats.iou, confusion_iou(stats.confusion)[0])
+            np.testing.assert_array_equal(stats.present, stats.confusion.sum(axis=1) > 0)
+            assert stats.iou_history[-1] == stats.iou.tolist()
 
 
 class TestCropIndex:

@@ -472,6 +472,90 @@ class TestEta:
                 assert eta(factor * alpha_n, losses / scale, pr.q, pr.m) > 0.0
 
 
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestSegmentedSolve:
+    """``solve_pool(x, c, sizes=s)`` is the per-segment calls, bit for bit."""
+
+    SEGMENTS = [
+        [3.0],  # a single pixel
+        [0.0, 0.0, 0.0, 0.0],  # all zero
+        [1.0, 2.0, 2.0, 2.0, 3.0, 0.5],  # ties at the p = 1 threshold
+        [0.7, 0.7, 0.7, 0.7, 0.7],  # all tied
+        [0.0, 0.5, 0.0, 2.0, 0.1, 0.0, 0.0],  # zeros mixed in
+        [1e-300, 1e-10, 1.0, 3e5, 7e-200, 5e-324, 1e300, 0.0],  # many decades
+        [0.0],
+    ]
+
+    @staticmethod
+    def assert_matches_per_segment(segments, config):
+        sizes = [len(segment) for segment in segments]
+        batched = solve_pool(np.concatenate(segments), config, sizes=sizes)
+        assert batched.pooled_loss.shape == batched.alpha_star.shape == (len(segments),)
+        start, supports = 0, []
+        for b, segment in enumerate(segments):
+            single = solve_pool(segment, config)
+            end = start + len(segment)
+            assert_same_bits(batched.pooled_loss[b], single.pooled_loss)
+            assert_same_bits(batched.alpha_star[b], single.alpha_star)
+            assert_same_bits(batched.weights[start:end], single.weights)
+            assert_same_bits(batched.dual[start:end], single.dual)
+            supports.append(single.support + start)
+            start = end
+        assert_same_bits(batched.support, np.concatenate(supports))
+
+    @pytest.mark.parametrize("p", [1.0, 1.001, 1.3, 2.0, 7.0, math.inf])
+    @pytest.mark.parametrize(
+        "m", [{"m_fraction": 0.25}, {"m_fraction": 1.0}, {"m_fraction": 0.6}, {"m": 1.0}]
+    )
+    def test_edge_segments(self, p, m):
+        self.assert_matches_per_segment(
+            [np.array(x) for x in self.SEGMENTS], PoolingConfig(p=p, **m)
+        )
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, math.inf])
+    def test_absolute_fractional_m(self, p):
+        segments = [np.array(x) for x in self.SEGMENTS if len(x) >= 3]
+        self.assert_matches_per_segment(segments, PoolingConfig(p=p, m=2.5))
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            segments = [random_losses(rng, int(rng.integers(1, 40))) for _ in range(int(rng.integers(1, 9)))]
+            for segment in segments:
+                segment[rng.random(segment.size) < 0.2] = 0.0
+            p = float(rng.choice([1.0, 1.1, 1.3, 2.0, 4.0, math.inf]))
+            fraction = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
+            self.assert_matches_per_segment(segments, PoolingConfig(p=p, m_fraction=fraction))
+
+    def test_one_segment_is_the_plain_call(self):
+        losses = np.random.default_rng(42).lognormal(0.0, 2.0, 300)
+        config = PoolingConfig(p=1.3, m_fraction=0.25)
+        single, batched = solve_pool(losses, config), solve_pool(losses, config, sizes=[300])
+        assert isinstance(single.pooled_loss, float)
+        assert isinstance(single.alpha_star, float)
+        assert_same_bits(batched.pooled_loss, [single.pooled_loss])
+        assert_same_bits(batched.alpha_star, [single.alpha_star])
+        for field in ("support", "weights", "dual"):
+            assert_same_bits(getattr(batched, field), getattr(single, field))
+
+    @pytest.mark.parametrize(
+        "sizes", [[0, 5], [-1, 6], [2, 2], [3, 3], [2.5, 2.5], [], [[5]], [True] * 5]
+    )
+    def test_bad_sizes_raise(self, sizes):
+        with pytest.raises(ValueError, match="sizes"):
+            solve_pool(np.ones(5), PoolingConfig(p=1.3, m=1.0), sizes=sizes)
+
+    def test_absolute_m_beyond_a_segment_raises(self):
+        with pytest.raises(ValueError, match="m must lie"):
+            solve_pool(np.ones(5), PoolingConfig(p=1.3, m=3.0), sizes=[2, 3])
+
+
 class TestDualObjective:
     def test_at_zero_is_scaled_norm(self):
         cfg = PoolingConfig(p=2.0, m=1.0)

@@ -10,6 +10,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from helpers import train_per_crop
 
 from losspool.sampler import SamplerConfig
 from losspool.solver import PoolingConfig
@@ -207,6 +208,21 @@ class TestTrainConfig:
             {"pooling": {"m": 100}}
         ).pooling == PoolingConfig(p=1.3, m=100)
 
+    @pytest.mark.parametrize(
+        "data,key",
+        [
+            ({"lr0": True}, "train.lr0"),
+            ({"momentum": False}, "train.momentum"),
+            ({"pooling": {"p": True}}, "train.pooling.p"),
+            ({"pooling": {"m": True}}, "train.pooling.m"),
+            ({"pooling": {"m_fraction": True}}, "train.pooling.m_fraction"),
+            ({"sampler": {"epsilon": True}}, "train.sampler.epsilon"),
+        ],
+    )
+    def test_float_fields_reject_bools(self, data, key):
+        with pytest.raises(ValueError, match=f"bad {key} value True|bad {key} value False"):
+            TrainConfig.from_dict(data)
+
     def test_partial_sampler_dict_keeps_the_other_defaults(self):
         config = TrainConfig.from_dict({"sampler": {"blend": 0.5}})
         assert config.sampler == SamplerConfig(blend=0.5, epsilon=0.01)
@@ -359,16 +375,18 @@ class TestTrain:
         ).loss_history  # the sampler actually changes the crop stream
 
     def test_pooled_crop_loss_upper_bounds_its_mean(self, monkeypatch):
-        # Record every pooled solve the trainer performs and check each
-        # against the plain mean of the same crop's pixel losses.
+        # Record every segmented solve the trainer performs and check each
+        # crop's pooled value against the plain mean of its own pixel losses.
         from losspool import trainer as trainer_module
 
         records = []
         real_solve = trainer_module.solve_pool
 
-        def recording(losses, config):
-            outcome = real_solve(losses, config)
-            records.append((outcome.pooled_loss, float(np.mean(losses))))
+        def recording(losses, config, sizes=None):
+            outcome = real_solve(losses, config, sizes=sizes)
+            ends = np.cumsum(sizes)
+            for pooled, start, end in zip(outcome.pooled_loss, ends - sizes, ends):
+                records.append((pooled, float(np.mean(losses[start:end]))))
             return outcome
 
         monkeypatch.setattr(trainer_module, "solve_pool", recording)
@@ -400,6 +418,59 @@ class TestTrain:
         )
         with pytest.raises(ValueError, match="split"):
             train(broken, TrainConfig(iterations=1))
+
+
+class TestBatchedStepParity:
+    """One loss, solve and gradient pass per iteration trains bit for bit like
+    one per crop: the loss histories and the weights are identical."""
+
+    @staticmethod
+    def assert_matches_per_crop(dataset, config):
+        report = train(dataset, config)
+        history, weights = train_per_crop(dataset, config)
+        assert report.loss_history == history
+        assert report.model_weights.tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize("sampler", [None, SamplerConfig(blend=0.5, epsilon=0.01)])
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    def test_every_mode_with_and_without_the_sampler(self, mode, sampler):
+        # 16x16 images with 12x12 crops: most crops are clipped at the border.
+        self.assert_matches_per_crop(
+            generate_dataset(small_spec()),
+            TrainConfig(loss_mode=mode, iterations=8, seed=5, sampler=sampler),
+        )
+
+    @pytest.mark.parametrize(
+        "pooling",
+        [
+            PoolingConfig(p=1.0, m_fraction=0.25),
+            PoolingConfig(p=1.3, m_fraction=0.25),
+            PoolingConfig(p=float("inf"), m_fraction=0.25),
+            PoolingConfig(p=1.3, m_fraction=1.0),
+            PoolingConfig(p=2.0, m=5.0),
+            PoolingConfig(p=1.0, m=3.5),
+        ],
+        ids=["p1", "p1.3", "p_inf", "m_all", "m_abs", "p1_m_abs"],
+    )
+    def test_pooling_settings(self, pooling):
+        self.assert_matches_per_crop(
+            generate_dataset(small_spec()),
+            TrainConfig(loss_mode="lmp", pooling=pooling, iterations=8, seed=6,
+                        sampler=SamplerConfig()),
+        )
+
+    def test_clipped_crops_of_the_default_task(self):
+        # Corner anchors keep as few as 7x7 of the 12x12 pixels.
+        config = TrainConfig(loss_mode="lmp", iterations=10, seed=2)
+        dataset = generate_dataset(SyntheticDatasetSpec(seed=3))
+        self.assert_matches_per_crop(dataset, config)
+
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    def test_one_crop_per_iteration(self, mode):
+        self.assert_matches_per_crop(
+            generate_dataset(small_spec()),
+            TrainConfig(loss_mode=mode, iterations=10, batch_crops=1, seed=8),
+        )
 
 
 class TestEvaluate:
