@@ -34,8 +34,6 @@ __all__ = [
 
 # Factor on the confusion counts before each batch is added.
 DECAY = 0.99
-# How far class probabilities may sum from 1, as numpy's Generator.choice allows.
-_SUM_TOL = np.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -146,13 +144,8 @@ def class_distribution(stats: ClassStats, config: SamplerConfig) -> np.ndarray:
 def sample_class(
     stats: ClassStats, config: SamplerConfig, rng: np.random.Generator
 ) -> int:
-    """Draw one class id from :func:`class_distribution`, as ``rng.choice`` would."""
-    p = class_distribution(stats, config)
-    if not (np.all(p >= 0.0) and abs(p.sum() - 1.0) <= _SUM_TOL):
-        raise ValueError(f"class probabilities {p!r} are not a distribution")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    """Draw one class id from :func:`class_distribution`."""
+    return int(rng.choice(stats.num_classes, p=class_distribution(stats, config)))
 
 
 class CropAnchor(NamedTuple):

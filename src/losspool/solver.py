@@ -171,8 +171,6 @@ class SolveOutcome:
     support : original indices of pixels pooled at the cap ``tau``, ascending.
     weights : optimal weighting, same length and order as the input losses.
     dual : optimal dual vector ``max(l - alpha_star, 0)``.
-
-    A solve given ``sizes`` has one pooled loss and threshold per segment.
     """
 
     pooled_loss: float | np.ndarray
@@ -198,52 +196,55 @@ def solve_pool(losses, config: PoolingConfig, sizes=None) -> SolveOutcome:
     and the weights stay finite.
 
     ``sizes`` splits the losses into consecutive segments of ``sizes[b]``
-    losses, each pooled on its own with ``m`` resolved against its own
-    length (one solve for a batch of crops).  ``pooled_loss`` and
-    ``alpha_star`` are then arrays with one entry per segment, while
-    ``weights``, ``dual`` and ``support`` stay indexed like ``losses``.
-    Every segment's outcome is bit for bit the one of its own call.  The
-    segments are padded to the longest, ``len(sizes) * max(sizes)`` losses.
+    losses, each pooled on its own, bit for bit as by its own call, with
+    ``m`` resolved against its own length.  ``pooled_loss`` and
+    ``alpha_star`` are then arrays with one entry per segment; ``weights``,
+    ``dual`` and ``support`` stay indexed like ``losses``.  The segments are
+    padded to the longest: ``len(sizes) * max(sizes)`` losses.
     """
     values = as_loss_vector(losses)
-    n = np.array([values.size] if sizes is None else sizes)
-    if n.ndim != 1 or n.dtype.kind not in "iu" or (n < 1).any() or n.sum() != values.size:
-        raise ValueError(f"sizes must be positive integers summing to len(losses), got {sizes!r}")
-    resolved = {size: config.resolve(size) for size in set(n.tolist())}
-    rows = [resolved[size] for size in n.tolist()]
-    m, tau, q = np.array([r.m for r in rows]), np.array([r.tau for r in rows]), rows[0].q
-    # One row per segment, right-aligned behind zero padding, which the
-    # stable sort puts before every loss of its row.
-    B, N = n.size, int(n.max())
-    if B * N == values.size:
-        padded, unpad = values.reshape(B, N), np.ravel
+    if sizes is None:
+        # One row: the loss vector itself, with scalar parameters.
+        params = config.resolve(values.size)
+        n, m, q, tau, padded, keep = values.size, params.m, params.q, params.tau, values, None
     else:
-        valid = np.arange(N) >= (N - n)[:, None]
-        padded, unpad = np.zeros((B, N)), lambda a: a[valid]
-        padded[valid] = values
+        n = np.array(sizes)
+        if n.ndim != 1 or n.dtype.kind not in "iu" or (n < 1).any() or n.sum() != values.size:
+            raise ValueError(f"sizes must be positive integers summing to len(losses), got {sizes!r}")
+        n = n[:, None]
+        # One row per segment, right-aligned behind zero padding that the
+        # stable sort puts before every loss; the row parameters are columns.
+        rows = [config.resolve(size) for size in n.ravel().tolist()]
+        m, q, tau = np.array([[r.m] for r in rows]), rows[0].q, np.array([[r.tau] for r in rows])
+        keep = (np.arange(n.max()) >= n.max() - n).ravel()
+        padded = np.zeros((n.size, n.max()))
+        padded.ravel()[keep] = values
+    N = padded.shape[-1]
     # Flat positions of each row's losses in ascending order.
-    order = (np.argsort(padded, axis=1, kind="stable") + N * np.arange(B)[:, None]).ravel()
-    s = padded.ravel()[order].reshape(B, N)
+    order = np.argsort(padded, axis=-1, kind="stable")
+    order += _row_starts(padded)
+    s = padded.ravel()[order]
     solve = _solve_hard_top if math.isinf(q) else _solve_threshold_scan
     stop, alpha, below, shrunk = solve(s, n, m, q, tau)
-    capped = np.arange(N) >= stop[:, None]
-    sorted_weights = np.where(capped, tau[:, None], shrunk)
-
-    # The cap equals the uniform weight here, so the optimum is the plain
+    capped = np.arange(N) >= stop
+    # The cap equals the uniform weight 1/n here, so the optimum is the plain
     # mean; computing it directly keeps the upper bound exact at the
     # boundary and the weights exactly uniform.
-    mean = (s[:, -1] > 0) & (math.isinf(config.p) | (m == n))
-    sorted_weights[mean] = (1.0 / n[mean])[:, None]
-    weights, in_support = np.empty(B * N), np.empty(B * N, dtype=bool)
-    weights[order], in_support[order] = sorted_weights.ravel(), capped.ravel()
-    weights = unpad(weights.reshape(B, N))
-    support = np.flatnonzero(unpad(in_support.reshape(B, N)))
-    # Scaling by tau first keeps every partial sum below the largest loss
-    # (tau * |support| <= 1), so it cannot overflow.
-    scaled = values[support] * np.repeat(tau, N - stop)
+    mean = (s[..., -1:] > 0) & (math.isinf(config.p) | (m == n))
+    weights, in_support = np.empty(padded.size), np.empty(padded.size, dtype=bool)
+    weights[order] = np.where(capped | mean, tau, shrunk)
+    in_support[order] = capped
+    dual = np.maximum(padded - alpha, 0.0).ravel()
+    if keep is not None:
+        weights, in_support, dual = weights[keep], in_support[keep], dual[keep]
+    support = np.flatnonzero(in_support)
+    # Scaling by tau (the support's weight) first keeps every partial sum
+    # below the largest loss (tau * |support| <= 1), so it cannot overflow.
+    scaled = values[support] * weights[support]
     pooled, start, first = [], 0, 0
     for size, count, share, top, is_mean in zip(
-        n.tolist(), (N - stop).tolist(), below.tolist(), s[:, -1].tolist(), mean
+        np.ravel(n).tolist(), (N - stop).ravel().tolist(), below.ravel().tolist(),
+        s[..., -1].ravel().tolist(), mean.ravel().tolist(),
     ):
         if is_mean:
             # The mean is taken on losses scaled down by a power of two only
@@ -255,14 +256,23 @@ def solve_pool(losses, config: PoolingConfig, sizes=None) -> SolveOutcome:
             # Each segment's own sum over its support, in index order.
             pooled.append(float(scaled[first:first + count].sum()) + share)
         start, first = start + size, first + count
-    dual = unpad(np.maximum(padded - alpha[:, None], 0.0))
     return SolveOutcome(
         pooled_loss=pooled[0] if sizes is None else np.array(pooled),
-        alpha_star=float(alpha[0]) if sizes is None else alpha,
+        alpha_star=float(alpha[0]) if sizes is None else alpha.ravel(),
         support=support,
         weights=weights,
         dual=dual,
     )
+
+
+def _row_starts(rows):
+    """Flat position of each row's first entry, a per-row value (0 for one row)."""
+    return 0 if rows.ndim == 1 else np.arange(0, rows.size, rows.shape[-1])[:, None]
+
+
+def _each(f, values):
+    """``f`` on each per-row value: ``math`` rounds as numpy's ufuncs do not."""
+    return np.array([f(x) for x in values.ravel().tolist()]).reshape(values.shape)
 
 
 def _solve_threshold_scan(s, n, m, q, tau):
@@ -279,33 +289,32 @@ def _solve_threshold_scan(s, n, m, q, tau):
     and padding have ``log s = -inf``: they add nothing to ``A_k`` and never
     stop the scan.
 
-    ``s`` holds the sorted rows and ``n``, ``m`` and ``tau`` the per-row
-    parameters.  Returns ``(stop, alpha, below, shrunk)``: the sorted
-    position of each row's smallest capped loss, the threshold, the pooled
-    share ``tau * (m - |support|) * alpha`` of the losses under the cap, and
-    the weights of those losses in sorted order.  The per-row logs and exps
-    are ``math`` calls, as ``np.log`` and ``np.exp`` round differently.
+    ``s`` is one sorted row, or sorted rows; ``n``, ``m`` and ``tau`` are
+    scalars, or columns.  Returns per row, on a last axis of length 1, the
+    sorted position of the smallest capped loss, the threshold and the pooled
+    share ``tau * (m - |support|) * alpha`` under the cap, then the weights
+    of the losses under the cap in sorted order.  Per-row logs and exps are
+    ``math`` calls, as ``np.log`` and ``np.exp`` round differently.
     """
-    N = s.shape[1]
+    N = s.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Logs relative to the largest loss keep every exp() argument below
         # log(n): alpha's rounding then does not depend on the magnitude of
         # the losses, and alpha = top * exp(...) overflows to inf without an
         # error.
-        top = s[:, -1]
-        log_top = np.array([math.log(t) if t > 0 else 0.0 for t in top.tolist()])
-        log_s = np.log(s) - log_top[:, None]
+        top = s[..., -1:]
+        log_s = np.log(s) - _each(lambda t: math.log(t) if t > 0 else 0.0, top)
         log_powers = q * log_s
-        log_prefix = np.logaddexp.accumulate(log_powers, axis=1)
-        counts = (m - n)[:, None] + (np.arange(1, N + 1) - (N - n)[:, None])
+        log_prefix = np.logaddexp.accumulate(log_powers, axis=-1)
+        counts = (m - n) + (np.arange(1, N + 1) - (N - n))
         # A c_k <= 0 never passes, as A_k / s_k**q >= 1.
         hits = counts > np.exp(log_prefix - log_powers)
-        stop = np.where(hits.any(axis=1), hits.argmax(axis=1), N)
+        stop = np.where(hits.any(axis=-1, keepdims=True), hits.argmax(axis=-1, keepdims=True), N)
         rest = m - (N - stop)  # m - |support| > 0
-        log_a = np.where(stop > 0, log_prefix[np.arange(s.shape[0]), stop - 1], -np.inf)
-        log_alpha = (log_a - np.array([math.log(r) for r in rest.tolist()])) / q
-        ratio = np.array([math.exp(x) for x in log_alpha.tolist()])  # alpha / top
-        shrunk = tau[:, None] * np.exp((q - 1.0) * (log_s - log_alpha[:, None]))
+        log_a = np.where(stop > 0, log_prefix.ravel()[_row_starts(s) + stop - 1], -np.inf)
+        log_alpha = (log_a - _each(math.log, rest)) / q
+        ratio = _each(math.exp, log_alpha)  # alpha / top
+        shrunk = tau * np.exp((q - 1.0) * (log_s - log_alpha))
         # alpha may pass the float64 maximum and become inf; the pooled share
         # tau * rest * alpha is at most the largest loss, and multiplying by
         # top last keeps it finite.
@@ -320,12 +329,11 @@ def _solve_hard_top(s, n, m, q, tau):
     the threshold (none if the threshold is zero).  A row without a positive
     loss caps nothing.  Takes and returns what :func:`_solve_threshold_scan` does.
     """
-    N = s.shape[1]
-    k = np.where(s[:, -1] > 0, np.minimum(np.floor(m), n), 0).astype(np.intp)
+    N = s.shape[-1]
+    k = np.where(s[..., -1:] > 0, np.minimum(np.floor(m), n), 0).astype(np.intp)
     stop = N - k
-    alpha = np.where(k < n, s[np.arange(s.shape[0]), stop - 1], 0.0)
+    alpha = np.where(k < n, s.ravel()[_row_starts(s) + stop - 1], 0.0)
     frac = m - k
-    split = (frac > 0.0) & (alpha > 0.0)
-    tied = (s == alpha[:, None]) & (np.arange(N) < stop[:, None]) & split[:, None]
-    share = tau * frac / np.maximum(tied.sum(axis=1), 1)
-    return stop, alpha, tau * frac * alpha, np.where(tied, share[:, None], 0.0)
+    tied = (s == alpha) & (np.arange(N) < stop) & ((frac > 0.0) & (alpha > 0.0))
+    share = tau * frac / np.maximum(tied.sum(axis=-1, keepdims=True), 1)
+    return stop, alpha, tau * frac * alpha, np.where(tied, share, 0.0)

@@ -12,10 +12,8 @@ are supported:
 * ``lmp`` — the pooling solver, weighting pixels by the optimal adaptive
   weights and backpropagating through them.
 
-The step is batched per iteration: the crops are drawn one by one, then one
-loss, one segmented solve and one gradient pass cover them all.
-
-Everything is deterministic under the config seed, down to bit-exact loss
+Each iteration draws its crops one by one, then runs one loss, one segmented
+solve and one gradient pass over them all.  Everything is deterministic under the config seed, down to bit-exact loss
 histories, so paired-seed comparisons between reductions are meaningful.
 """
 
@@ -92,16 +90,22 @@ def as_real(value) -> float:
     return float(value)
 
 
+def _cast(convert, value, name: str):
+    """``convert(value)``; a failure is a ``ValueError`` naming ``name``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad {name} value {value!r}: {exc}") from None
+
+
 def _fields_over(default, data: dict, where: str) -> dict:
     """The fields ``data`` sets, each cast to the type of its value in ``default``."""
     _check_keys(type(default), data, where)
     fields_set = {}
     for key, value in data.items():
         kind = type(getattr(default, key))
-        try:
-            fields_set[key] = {int: as_integer, float: as_real}.get(kind, kind)(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad {where}.{key} value {value!r}: {exc}") from None
+        convert = {int: as_integer, float: as_real}.get(kind, kind)
+        fields_set[key] = _cast(convert, value, f"{where}.{key}")
     return fields_set
 
 
@@ -332,8 +336,8 @@ class TrainConfig:
         pooling = data.get("pooling") or {}
         _check_keys(PoolingConfig, pooling, "train.pooling")
         for key, value in pooling.items():
-            if isinstance(value, bool):
-                raise ValueError(f"bad train.pooling.{key} value {value!r}: not a number")
+            if value is not None:  # checked only: the config echo keeps the values
+                _cast(as_real, value, f"train.pooling.{key}")
         sampler = data.get("sampler")
         flat = {k: v for k, v in data.items() if k not in ("pooling", "sampler")}
         return cls(
@@ -431,10 +435,9 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
     """Momentum SGD over random crops with the configured loss reduction.
 
     Per iteration: draw ``batch_crops`` crop anchors one by one (uniform,
-    or via the complementary sampler when configured, which sees each crop's
-    predictions before the next draw).  Then, once for all the crops,
-    compute per-pixel softmax losses, reduce each crop's losses according
-    to ``loss_mode`` (one segmented solve in ``lmp``), backpropagate
+    or via the complementary sampler, which sees each crop before the next
+    draw); then, once for all the crops, compute per-pixel softmax losses,
+    reduce each crop's losses according to ``loss_mode``, backpropagate
     through the per-pixel weighting, and take one optimiser step with
     poly-decayed learning rate.  Raises :class:`TrainingDivergence` on
     non-finite loss or parameters.
@@ -484,7 +487,6 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
             if stats is not None:
                 update_stats(stats, logits[-1].argmax(axis=1), labels[-1])
 
-        # One loss, solve and gradient pass over the iteration's crops.
         sizes = [x.shape[0] for x in crops]
         labels = np.concatenate(labels)
         result = softmax_xent(SegBatch(logits=np.concatenate(logits), labels=labels))

@@ -208,7 +208,6 @@ class TestSampleClass:
         assert runs[0] == runs[1]
         assert runs[0][0] == first[0]
 
-
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_draws_the_indices_of_rng_choice(self, seed):
         rng = np.random.default_rng(100 + seed)
@@ -236,7 +235,7 @@ class TestSampleClass:
         from losspool import sampler as sampler_module
 
         monkeypatch.setattr(sampler_module, "class_distribution", lambda *_: np.array(p))
-        with pytest.raises(ValueError, match="not a distribution"):
+        with pytest.raises(ValueError):
             sample_class(ClassStats(num_classes=3), SamplerConfig(), np.random.default_rng(0))
 
 
