@@ -83,21 +83,29 @@ def _f9(x) -> str:
     return np.format_float_positional(x, precision=9, unique=False, fractional=False)
 
 
-# Entries per piece when a 1-D array is streamed: only one piece's list and
-# strings are alive at a time, not a string for every entry of the array.
+# Entries per piece when a 1-D array is streamed: only one piece's values,
+# distinct values and strings are alive at a time, not a string for every
+# entry of the array.
 _ARRAY_CHUNK = 4096
 
 
 def _format_each(values):
-    """Return an iterator over the text of each entry of a 1-D numeric array.
+    """Return an iterable over the text of each entry of a 1-D numeric array.
 
     Floats get 17 significant digits and integers their decimal digits,
     the same text ``_f17`` and ``str(int(x))`` give one scalar at a time.
+    Each distinct float, told apart by its bits so that -0.0 stays ``-0``,
+    is formatted once: solver outputs repeat zeros and the weight cap.
     """
     values = np.asarray(values)
     if values.dtype.kind in "iu":
         return map(str, values.tolist())
-    return map("{:.17g}".format, values.astype(np.float64, copy=False).tolist())
+    bits, inverse = np.unique(
+        values.astype(np.float64, copy=False).view(np.int64), return_inverse=True
+    )
+    distinct = tuple(bits.view(np.float64).tolist())
+    texts = ("%.17g " * len(distinct) % distinct).split()
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _json_pieces(value, indent: int = 0):
@@ -107,7 +115,7 @@ def _json_pieces(value, indent: int = 0):
     walks the (dict/list/array/scalar) document itself.  Arrays and lists
     stay on one line with ", " between items; mappings are indented by two
     spaces per level.  A 1-D numeric array is formatted ``_ARRAY_CHUNK``
-    entries at a time.
+    entries at a time, each distinct value once per chunk.
     """
     pad = " " * indent
     if isinstance(value, dict):
@@ -156,8 +164,22 @@ def _write_json(path: Path, payload: dict) -> None:
         out.write("\n")
 
 
+def _is_number(line: str) -> bool:
+    try:
+        float(line)
+    except ValueError:
+        return False
+    return True
+
+
 def read_losses(path) -> np.ndarray:
-    """Load a loss vector from CSV (one value per line) or a JSON array."""
+    """Load a loss vector from CSV (one value per line) or a JSON array.
+
+    In CSV, blank lines are skipped and the first non-blank line is a header
+    when it is not a number; a numeric first line is a loss.  Any later line
+    that is not a number is an error naming its line number in the file,
+    blank lines counted.  Values take every spelling ``float`` accepts.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -183,20 +205,20 @@ def read_losses(path) -> np.ndarray:
                 f"{json.dumps(bad)}"
             )
     else:
-        values = []
-        header_allowed = True  # the first non-blank line may be a header
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                if not header_allowed:
-                    raise InputDataError(
-                        f"losses file {path}, line {lineno}: not a number: {line!r}"
-                    ) from None
-            header_allowed = False
+        lines = text.splitlines()
+        body = list(filter(str.strip, lines))  # the non-blank lines
+        if not _is_number(body[0]):
+            del body[0]  # the header
+        try:
+            # numpy converts each str with float(), padding and all.
+            values = np.array(body, dtype=np.float64)
+        except ValueError:
+            # Name the first line past the first non-blank one that fails.
+            filled = [(n, line.strip()) for n, line in enumerate(lines, start=1) if line.strip()]
+            lineno, line = next((n, line) for n, line in filled[1:] if not _is_number(line))
+            raise InputDataError(
+                f"losses file {path}, line {lineno}: not a number: {line!r}"
+            ) from None
     try:
         return as_loss_vector(values)
     except (ValueError, OverflowError) as exc:

@@ -210,7 +210,9 @@ def solve_pool(losses, config: PoolingConfig, sizes=None) -> SolveOutcome:
     else:
         n = np.array(sizes)
         if n.ndim != 1 or n.dtype.kind not in "iu" or (n < 1).any() or n.sum() != values.size:
-            raise ValueError(f"sizes must be positive integers summing to len(losses), got {sizes!r}")
+            raise ValueError(
+                f"sizes must be positive integers summing to len(losses), got {sizes!r}"
+            )
         n = n[:, None]
         # One row per segment, right-aligned behind zero padding that the
         # stable sort puts before every loss; the row parameters are columns.

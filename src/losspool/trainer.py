@@ -13,7 +13,9 @@ are supported:
   weights and backpropagating through them.
 
 Each iteration draws its crops one by one, then runs one loss, one segmented
-solve and one gradient pass over them all.  Everything is deterministic under the config seed, down to bit-exact loss
+solve and one gradient pass over them all.
+
+Everything is deterministic under the config seed, down to bit-exact loss
 histories, so paired-seed comparisons between reductions are meaningful.
 """
 

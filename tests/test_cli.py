@@ -102,6 +102,42 @@ class TestReadLosses:
         assert main(["solve", "--losses", str(path), "--p", "2", "--m", "1"]) == 2
         assert "line 6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            pytest.param(b"loss\r\n1.5\r\n2.5\r\n", [1.5, 2.5], id="crlf"),
+            pytest.param(b" 1.5 \n\t2.5\t\n  \t 3 \r\n", [1.5, 2.5, 3.0], id="padding"),
+            pytest.param(b"1_000\n", [1000.0], id="underscore"),
+            pytest.param(b"\n\n1\n\n \n2\n\n", [1.0, 2.0], id="blank-lines"),
+            pytest.param(b"\n \nloss\n\n1\n", [1.0], id="header-after-blanks"),
+            pytest.param(b"3\n4\n", [3.0, 4.0], id="numeric-first-line-kept"),
+            pytest.param(b"-0\n+.5\n5e-324\n", [-0.0, 0.5, 5e-324], id="spellings"),
+            pytest.param("１２\n".encode(), [12.0], id="fullwidth-digits"),
+        ],
+    )
+    def test_csv_values_keep_their_bits(self, tmp_path, text, expected):
+        path = tmp_path / "l.csv"
+        path.write_bytes(text)
+        values = read_losses(path)
+        assert values.dtype == np.float64
+        assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            pytest.param("1.0\n2.0 3.0\n", ", line 2: not a number: '2.0 3.0'", id="two-numbers"),
+            pytest.param("1\ninf\n", ": losses must be finite", id="inf"),
+            pytest.param("loss\nnan\n2\n", ": losses must be finite", id="nan"),
+            pytest.param("\nloss\n\n", ": losses must contain at least one entry", id="header-only"),
+        ],
+    )
+    def test_csv_errors_are_exact(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InputDataError) as caught:
+            read_losses(path)
+        assert str(caught.value) == f"losses file {path}{message}"
+
 
 class TestParsePooling:
     def test_percent_token_is_a_fraction(self):
@@ -388,6 +424,51 @@ class TestJsonWriter:
             '  }\n'
             '}\n'
         )
+
+    @staticmethod
+    def written_array(tmp_path, values):
+        """The text ``_write_json`` gives a 1-D array, between its brackets."""
+        path = tmp_path / "array.json"
+        _write_json(path, {"a": values})
+        text = path.read_text()
+        head, tail = '{\n  "a": [', "]\n}\n"
+        assert text.startswith(head) and text.endswith(tail)
+        return text[len(head):-len(tail)]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param(
+                np.repeat([0.0, 0.1, 1 / 3, 2.5], 2 * _ARRAY_CHUNK // 3 + 1),
+                id="ties-over-chunks",
+            ),
+            pytest.param(
+                np.array([5e-324, 1.7976931348623157e308, 5e-324, 0.0]), id="extremes"
+            ),
+            pytest.param(np.array([0.1, 0.1, 1e-40, 3.0], dtype=np.float32), id="float32"),
+            pytest.param(np.full(_ARRAY_CHUNK + 5, 0.7), id="all-equal"),
+            pytest.param(np.array([], dtype=np.float64), id="empty"),
+        ],
+    )
+    def test_float_arrays_match_format(self, tmp_path, values):
+        expected = ", ".join(format(x, ".17g") for x in values)
+        assert self.written_array(tmp_path, values) == expected
+
+    def test_signed_zeros_keep_their_sign(self, tmp_path):
+        values = np.array([0.0, -0.0, 1.0, -0.0, 0.0])
+        assert self.written_array(tmp_path, values) == "0, -0, 1, -0, 0"
+
+    def test_arrays_from_a_small_pool_match_format(self, tmp_path, monkeypatch):
+        # A chunk of 7 entries puts ties within chunks and across their edges.
+        monkeypatch.setattr(losspool.cli, "_ARRAY_CHUNK", 7)
+        pool = np.array(
+            [0.0, -0.0, 0.1, 1 / 3, 2.5, 1e16, 5e-324, 1.7976931348623157e308, -1.5]
+        )
+        rng = np.random.default_rng(2017)
+        for _ in range(200):
+            values = rng.choice(pool, size=rng.integers(0, 40))
+            expected = ", ".join(format(x, ".17g") for x in values)
+            assert self.written_array(tmp_path, values) == expected, values.tolist()
 
 
 class TestWeightCurvesCommand:
