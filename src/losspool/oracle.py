@@ -10,17 +10,17 @@ Two independent routes to the pooled value, used to audit
   so the fixed point of the project-and-step map is a global maximiser.
   The projection finds its multiplier by a bracketed Illinois step.
 * :func:`scan_dual_alpha` walks the dual path ``lam(alpha) = max(l - alpha,
-  0)`` over a dense threshold grid, evaluated as one broadcast array in
-  blocks, and refines the best bracket by golden section.  The dual
-  objective is unimodal along this path and meets the primal value at the
-  optimum.
+  0)`` over a threshold grid, evaluated as one broadcast array in blocks,
+  and refines between the best point's grid neighbours with the same
+  evaluator.  The dual objective falls, then rises along this path, so
+  refinement keeps the minimiser, which meets the primal optimum.
 
-:func:`dual_objective` and :func:`kkt_residual` check a dual vector against
-the bound and the optimality fixed point.  None of this shares code or
-structure with the closed-form solver, which supplies only the config types,
-the input check and :func:`solve_pool`; that is the point.
-:func:`project_feasible_dykstra` checks the projection itself by
-alternating the box with the same projection run with the cap lifted.  The
+:func:`kkt_residual` checks a dual vector against the optimality fixed
+point.  None of this shares code or structure with the closed-form solver,
+which supplies only the config types, the input check and
+:func:`solve_pool`; that is the point.  The references that check the
+oracles themselves live with the tests: the scalar dual path value, the
+dual bound at any ``lam``, and a Dykstra alternating projection.  The
 iteration counts, step size and grid size are module constants, set to what
 the audit runs.  This module is verification tooling, not part of the library
 surface proper, but the command line exposes it for audits.
@@ -43,18 +43,11 @@ __all__ = [
     "maximize_primal",
     "scan_dual_alpha",
     "stable_qnorm",
-    "dual_objective",
     "kkt_residual",
     "project_feasible",
-    "project_feasible_dykstra",
     "random_instance",
     "run_audit",
 ]
-
-# Alternating projections stop once a full cycle moves the iterate no more
-# than this (sup norm), or after this many cycles.
-DYKSTRA_MOVEMENT_TOL = 1.0e-10
-_DYKSTRA_MAX_CYCLES = 4000
 
 # Stop width of the bracket on the projection's Lagrange multiplier,
 # relative to the larger of 1 and its upper end.
@@ -66,10 +59,10 @@ _ASCENT_ITERS = 5000
 _ASCENT_MOVEMENT_TOL = 1.0e-9
 _ASCENT_STEP = 1.0e4
 
-# Threshold grid points of the dual scan before golden-section refinement,
-# and the most grid elements (rows times losses) one block of the broadcast
-# grid holds; a block has at least one row.
-_SCAN_GRID_SIZE = 1024
+# Threshold points of each dual-scan grid (the first over [0, max l], each
+# refinement between the last best point's neighbours), and the most grid
+# elements (rows times losses) one block holds; a block has at least one row.
+_SCAN_GRID_SIZE = 65
 _SCAN_BLOCK_ELEMENTS = 2**14
 
 
@@ -229,44 +222,6 @@ def project_feasible(
     return candidate(nu)
 
 
-def project_feasible_dykstra(point: np.ndarray, params: ResolvedPooling) -> np.ndarray:
-    """Reference joint projection by Dykstra alternating projections.
-
-    Kept as a check on :func:`project_feasible`: it alternates the box
-    ``[0, tau]^n`` with the p-norm ball, and the ball step is the joint
-    projection with the cap lifted (``tau = inf``).  That step only ever sees
-    non-negative points, the box output plus a correction that the ball
-    projection leaves non-negative, so lifting the cap is exact there.
-    Converges for any input but burns down its corrections only linearly
-    when the point is far outside the sets, so it is unsuitable as the
-    ascent workhorse; the loop stops once a full cycle neither moves the
-    iterate nor leaves a gap between the box view and the ball view (both
-    at most ``DYKSTRA_MOVEMENT_TOL``).
-    """
-    x = np.asarray(point, dtype=np.float64)
-    ball = params._replace(tau=math.inf)
-    box_corr = np.zeros_like(x)
-    ball_corr = np.zeros_like(x)
-    ball_state: dict = {}
-    prev = None
-    for _ in range(_DYKSTRA_MAX_CYCLES):
-        shifted = x + box_corr
-        y = np.clip(shifted, 0.0, params.tau)
-        box_corr = shifted - y
-        shifted = y + ball_corr
-        x = project_feasible(shifted, ball, state=ball_state)
-        ball_corr = shifted - x
-        gap = float(np.max(np.abs(y - x)))
-        if (
-            prev is not None
-            and gap <= DYKSTRA_MOVEMENT_TOL
-            and float(np.max(np.abs(x - prev))) <= DYKSTRA_MOVEMENT_TOL
-        ):
-            break
-        prev = x
-    return x
-
-
 def constraint_violation(w: np.ndarray, params: ResolvedPooling) -> float:
     """Worst violation of ``0 <= w <= tau`` and ``||w||_p <= gamma``."""
     neg = float(np.maximum(-w, 0.0).max(initial=0.0))
@@ -338,21 +293,15 @@ def maximize_primal(losses, config: PoolingConfig) -> OracleReport:
     )
 
 
-def _dual_path_value(alpha: float, values: np.ndarray, params: ResolvedPooling) -> float:
-    lam_sum = float(np.maximum(values - alpha, 0.0).sum())
-    return params.tau * lam_sum + params.gamma * stable_qnorm(
-        np.minimum(values, alpha), params.q
-    )
-
-
 def _dual_path_grid(
     alphas: np.ndarray, values: np.ndarray, params: ResolvedPooling
 ) -> np.ndarray:
-    """:func:`_dual_path_value` at every threshold of ``alphas``, broadcast.
+    """The dual objective along the threshold path at every entry of ``alphas``.
 
-    Rows of the ``[grid, n]`` array are evaluated in blocks of at most
-    ``_SCAN_BLOCK_ELEMENTS`` elements.  The q-norm is scaled by the row top
-    ``min(max(l), alpha)`` as :func:`stable_qnorm` scales it; a row whose
+    ``g(alpha) = tau * sum(max(l - alpha, 0)) + gamma * ||min(l, alpha)||_q``,
+    broadcast over rows of a ``[grid, n]`` array evaluated in blocks of at
+    most ``_SCAN_BLOCK_ELEMENTS`` elements.  The q-norm is scaled by the row
+    top ``min(max(l), alpha)`` as :func:`stable_qnorm` scales it; a row whose
     top is zero has norm zero.
     """
     gvals = np.empty(alphas.size)
@@ -372,10 +321,15 @@ def _dual_path_grid(
 def scan_dual_alpha(losses, config: PoolingConfig) -> OracleReport:
     """Minimise the dual objective along the threshold path.
 
-    Evaluates ``g(max(l - alpha, 0))`` on ``_SCAN_GRID_SIZE`` points over
-    ``[0, max(losses)]``, then golden-sections the bracket around the grid
-    minimum.  Along this path the dual objective is unimodal, and its
-    minimum equals the pooled value.  Requires ``p > 1``.
+    Evaluates :func:`_dual_path_grid` on ``_SCAN_GRID_SIZE`` points over
+    ``[0, max(l)]``, then as many between the two grid neighbours of the
+    smallest value, until they lie closer than ``1e-13 * max(1, max(l))``.
+    The slope is ``|J_alpha| * (gamma * (alpha / ||min(l, alpha)||_q)**(q-1)
+    - tau)`` with ``J_alpha = {u : l(u) > alpha}``, and its bracket never
+    decreases in alpha: the objective falls, then rises, so each refinement
+    keeps the minimiser, and a missed minimum can only read high.  Reports
+    the smallest value seen (the pooled value), its alpha and the points
+    evaluated.  Requires ``p > 1``.
     """
     values = as_loss_vector(losses)
     params = config.resolve(values.size)
@@ -389,72 +343,32 @@ def scan_dual_alpha(losses, config: PoolingConfig) -> OracleReport:
             max_constraint_violation=0.0, alpha=0.0,
         )
 
-    alphas = np.linspace(0.0, top, _SCAN_GRID_SIZE)
-    gvals = _dual_path_grid(alphas, values, params)
-    k = int(np.argmin(gvals))
-    lo = alphas[max(k - 1, 0)]
-    hi = alphas[min(k + 1, _SCAN_GRID_SIZE - 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _dual_path_value(c, values, params)
-    fd = _dual_path_value(d, values, params)
-    evals = _SCAN_GRID_SIZE + 2
-    while b - a > 1e-13 * max(1.0, top):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _dual_path_value(c, values, params)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _dual_path_value(d, values, params)
-        evals += 1
-    alpha_best = 0.5 * (a + b)
-    value = min(_dual_path_value(alpha_best, values, params), float(gvals[k]))
-    evals += 1
+    lo, hi = 0.0, top
+    value, alpha, evals = math.inf, 0.0, 0
+    while evals == 0 or hi - lo > 1e-13 * max(1.0, top):
+        alphas = np.linspace(lo, hi, _SCAN_GRID_SIZE)
+        gvals = _dual_path_grid(alphas, values, params)
+        evals += _SCAN_GRID_SIZE
+        k = int(np.argmin(gvals))
+        if gvals[k] < value:
+            value, alpha = float(gvals[k]), float(alphas[k])
+        lo = alphas[max(k - 1, 0)]
+        hi = alphas[min(k + 1, _SCAN_GRID_SIZE - 1)]
     return OracleReport(
-        value=value,
-        weights=None,
-        iterations=evals,
-        converged=True,
-        max_constraint_violation=0.0,
-        alpha=alpha_best,
-    )
-
-
-def _dual_inputs(lam, losses, config: PoolingConfig, name: str):
-    """Validated ``(lam, losses, params)`` of a dual check; needs ``p > 1``."""
-    values = as_loss_vector(losses)
-    params = config.resolve(values.size)
-    if math.isinf(params.q):
-        raise ValueError(f"{name} needs p > 1 (finite conjugate exponent)")
-    lam_arr = np.asarray(lam, dtype=np.float64)
-    if lam_arr.shape != values.shape:
-        raise ValueError("lam and losses must have the same shape")
-    return lam_arr, values, params
-
-
-def dual_objective(lam, losses, config: PoolingConfig) -> float:
-    """Dual bound ``tau * sum(lam) + gamma * ||l - lam||_q``.
-
-    Finite for any ``lam >= 0``; minimised (over the non-negative orthant) by
-    ``max(l - alpha_star, 0)``, where it meets the pooled value.  Requires
-    ``p > 1`` so that ``q`` is finite.
-    """
-    lam_arr, values, params = _dual_inputs(lam, losses, config, "dual_objective")
-    if not np.all(np.isfinite(lam_arr)) or np.any(lam_arr < 0):
-        raise ValueError("lam must be finite and non-negative")
-    return params.tau * float(lam_arr.sum()) + params.gamma * stable_qnorm(
-        values - lam_arr, params.q
+        value=value, weights=None, iterations=evals, converged=True,
+        max_constraint_violation=0.0, alpha=alpha,
     )
 
 
 def kkt_residual(lam, losses, config: PoolingConfig) -> float:
     """Sup-norm residual of the dual fixed point ``lam = max(l - m**(-1/q) * ||l - lam||_q, 0)``."""
-    lam_arr, values, params = _dual_inputs(lam, losses, config, "kkt_residual")
+    values = as_loss_vector(losses)
+    params = config.resolve(values.size)
+    if math.isinf(params.q):
+        raise ValueError("kkt_residual needs p > 1 (finite conjugate exponent)")
+    lam_arr = np.asarray(lam, dtype=np.float64)
+    if lam_arr.shape != values.shape:
+        raise ValueError("lam and losses must have the same shape")
     alpha = params.m ** (-1.0 / params.q) * stable_qnorm(values - lam_arr, params.q)
     fixed = np.maximum(values - alpha, 0.0)
     return float(np.max(np.abs(lam_arr - fixed)))

@@ -13,6 +13,7 @@ bias never chases classes the data does not contain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -120,8 +121,8 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.blend <= 1.0):
             raise ValueError(f"blend must lie in [0, 1], got {self.blend!r}")
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not (0.0 < self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
 
 
 def class_distribution(stats: ClassStats, config: SamplerConfig) -> np.ndarray:

@@ -86,10 +86,10 @@ def as_integer(value) -> int:
 
 
 def as_real(value) -> float:
-    """``float(value)``, but a bool is an error: true is not 1.0."""
-    if isinstance(value, bool):
+    """``float(value)``, but a bool or a NaN is an error: true is not 1.0."""
+    if isinstance(value, bool) or math.isnan(real := float(value)):
         raise ValueError("not a number")
-    return float(value)
+    return real
 
 
 def _cast(convert, value, name: str):
@@ -100,15 +100,22 @@ def _cast(convert, value, name: str):
         raise ValueError(f"bad {name} value {value!r}: {exc}") from None
 
 
+def _converter(example):
+    """The cast to a value like ``example``; a tuple casts each item like its first."""
+    if isinstance(example, tuple):
+        item = _converter(example[0])
+        return lambda value: tuple(map(item, value))
+    kind = type(example)
+    return {int: as_integer, float: as_real}.get(kind, kind)
+
+
 def _fields_over(default, data: dict, where: str) -> dict:
-    """The fields ``data`` sets, each cast to the type of its value in ``default``."""
+    """The fields ``data`` sets, each cast like its value in ``default``."""
     _check_keys(type(default), data, where)
-    fields_set = {}
-    for key, value in data.items():
-        kind = type(getattr(default, key))
-        convert = {int: as_integer, float: as_real}.get(kind, kind)
-        fields_set[key] = _cast(convert, value, f"{where}.{key}")
-    return fields_set
+    return {
+        key: _cast(_converter(getattr(default, key)), value, f"{where}.{key}")
+        for key, value in data.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -143,12 +150,12 @@ class SyntheticDatasetSpec:
             raise ValueError(
                 f"{self.classes} classes but {len(fr)} pixel fractions"
             )
-        if any(f <= 0 for f in fr):
-            raise ValueError("class pixel fractions must be positive")
+        if not all(0 < f < math.inf for f in fr):
+            raise ValueError("class pixel fractions must be positive and finite")
         if abs(sum(fr) - 1.0) > 1e-9:
             raise ValueError(f"fractions must sum to 1, got {sum(fr)!r}")
-        if self.feature_noise < 0:
-            raise ValueError("feature_noise must be non-negative")
+        if not (0 <= self.feature_noise < math.inf):
+            raise ValueError("feature_noise must be finite and non-negative")
         if self.shape_kind not in ("blob", "stripe"):
             raise ValueError(f"unknown shape_kind {self.shape_kind!r}")
 
@@ -312,8 +319,8 @@ class TrainConfig:
             raise ValueError(
                 f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}"
             )
-        if not (self.lr0 > 0):
-            raise ValueError(f"lr0 must be positive, got {self.lr0!r}")
+        if not (0 < self.lr0 < math.inf):
+            raise ValueError(f"lr0 must be positive and finite, got {self.lr0!r}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         if not (self.poly_power > 0):
@@ -323,8 +330,8 @@ class TrainConfig:
         ch, cw = self.crop_size
         if ch < 1 or cw < 1:
             raise ValueError(f"bad crop size {self.crop_size!r}")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+        if not (0 <= self.weight_decay < math.inf):
+            raise ValueError("weight_decay must be finite and non-negative")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":

@@ -67,6 +67,74 @@ def project_feasible_bisect(point, params, state=None):
     return candidate(nu)
 
 
+# Alternating projections stop once a full cycle moves the iterate no more
+# than this (sup norm), or after this many cycles.
+DYKSTRA_MOVEMENT_TOL = 1.0e-10
+DYKSTRA_MAX_CYCLES = 4000
+
+
+def project_feasible_dykstra(point, params):
+    """Reference joint projection by Dykstra alternating projections.
+
+    A check on :func:`losspool.oracle.project_feasible`: it alternates the
+    box ``[0, tau]^n`` with the p-norm ball, and the ball step is the joint
+    projection with the cap lifted (``tau = inf``).  That step only ever
+    sees non-negative points, the box output plus a correction that the
+    ball projection leaves non-negative, so lifting the cap is exact there.
+    Converges for any input but burns down its corrections only linearly
+    when the point is far outside the sets; the loop stops once a full
+    cycle neither moves the iterate nor leaves a gap between the box view
+    and the ball view (both at most ``DYKSTRA_MOVEMENT_TOL``).
+    """
+    x = np.asarray(point, dtype=np.float64)
+    ball = params._replace(tau=math.inf)
+    box_corr = np.zeros_like(x)
+    ball_corr = np.zeros_like(x)
+    ball_state = {}
+    prev = None
+    for _ in range(DYKSTRA_MAX_CYCLES):
+        shifted = x + box_corr
+        y = np.clip(shifted, 0.0, params.tau)
+        box_corr = shifted - y
+        shifted = y + ball_corr
+        x = oracle.project_feasible(shifted, ball, state=ball_state)
+        ball_corr = shifted - x
+        gap = float(np.max(np.abs(y - x)))
+        if (
+            prev is not None
+            and gap <= DYKSTRA_MOVEMENT_TOL
+            and float(np.max(np.abs(x - prev))) <= DYKSTRA_MOVEMENT_TOL
+        ):
+            break
+        prev = x
+    return x
+
+
+def dual_objective(lam, losses, config):
+    """Dual bound ``tau * sum(lam) + gamma * ||l - lam||_q``, for ``p > 1``.
+
+    Finite for any ``lam >= 0``; minimised (over the non-negative orthant)
+    by ``max(l - alpha_star, 0)``, where it meets the pooled value.
+    """
+    values = np.asarray(losses, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    params = config.resolve(values.size)
+    return params.tau * float(lam.sum()) + params.gamma * oracle.stable_qnorm(
+        values - lam, params.q
+    )
+
+
+def dual_path_value(alpha, values, params):
+    """The dual objective at ``lam = max(l - alpha, 0)``, one threshold at a time.
+
+    The scalar reference for :func:`losspool.oracle._dual_path_grid`.
+    """
+    lam_sum = float(np.maximum(values - alpha, 0.0).sum())
+    return params.tau * lam_sum + params.gamma * oracle.stable_qnorm(
+        np.minimum(values, alpha), params.q
+    )
+
+
 def train_per_crop(dataset, config):
     """The trainer's step with one loss, solve and gradient call per crop.
 

@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import eta
+from helpers import dual_objective, eta
 from losspool.cli import main
-from losspool.oracle import dual_objective, kkt_residual, random_instance, rel_err, run_audit
+from losspool.oracle import kkt_residual, random_instance, rel_err, run_audit
 from losspool.pixel_losses import SegBatch, backprop_pooled, softmax_xent
 from losspool.sampler import (
     ClassStats,

@@ -10,6 +10,7 @@ failure, 2 malformed input data, 3 invalid parameters.
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -604,7 +605,7 @@ class TestOracleAuditCommand:
             b'  "all_passed": true,\n'
             b'  "worst": {\n'
             b'    "ascent_rel_err": 9.7517959473690784e-14,\n'
-            b'    "scan_rel_err": 3.4551130634036419e-16,\n'
+            b'    "scan_rel_err": 3.9752911157142062e-16,\n'
             b'    "kkt_residual": 1.1102230246251565e-16,\n'
             b'    "constraint_violation": 0\n'
             b'  },\n'
@@ -615,9 +616,9 @@ class TestOracleAuditCommand:
             b'    "m": 38.391522784201278,\n'
             b'    "solver_value": 0.55856187248097544,\n'
             b'    "ascent_value": 0.55856187248097522,\n'
-            b'    "scan_value": 0.55856187248097544,\n'
+            b'    "scan_value": 0.55856187248097522,\n'
             b'    "ascent_rel_err": 3.9752911157142062e-16,\n'
-            b'    "scan_rel_err": 0,\n'
+            b'    "scan_rel_err": 3.9752911157142062e-16,\n'
             b'    "kkt_residual": 5.5511151231257827e-17,\n'
             b'    "constraint_violation": 0,\n'
             b'    "passed": true\n'
@@ -628,9 +629,9 @@ class TestOracleAuditCommand:
             b'    "m": 2.1797895930485849,\n'
             b'    "solver_value": 3.1239906946507912,\n'
             b'    "ascent_value": 3.1239906946504865,\n'
-            b'    "scan_value": 3.1239906946507907,\n'
+            b'    "scan_value": 3.1239906946507903,\n'
             b'    "ascent_rel_err": 9.7517959473690784e-14,\n'
-            b'    "scan_rel_err": 1.4215445987418481e-16,\n'
+            b'    "scan_rel_err": 2.8430891974836962e-16,\n'
             b'    "kkt_residual": 0,\n'
             b'    "constraint_violation": 0,\n'
             b'    "passed": true\n'
@@ -641,9 +642,9 @@ class TestOracleAuditCommand:
             b'    "m": 31.151493228511605,\n'
             b'    "solver_value": 0.64265510520311153,\n'
             b'    "ascent_value": 0.64265510520311164,\n'
-            b'    "scan_value": 0.64265510520311175,\n'
+            b'    "scan_value": 0.64265510520311153,\n'
             b'    "ascent_rel_err": 1.7275565317018212e-16,\n'
-            b'    "scan_rel_err": 3.4551130634036419e-16,\n'
+            b'    "scan_rel_err": 0,\n'
             b'    "kkt_residual": 1.1102230246251565e-16,\n'
             b'    "constraint_violation": 0,\n'
             b'    "passed": true\n'
@@ -945,6 +946,64 @@ class TestOptionTables:
         assert code == 3
         assert f"bad {key} value" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config_doc,key",
+        [
+            ({"train": {"crop_size": [2.5, 3]}}, "train.crop_size"),
+            ({"train": {"crop_size": [True, 3]}}, "train.crop_size"),
+            ({"dataset": {"image_size": [24, 24.5]}}, "dataset.image_size"),
+        ],
+    )
+    def test_tuple_items_follow_the_default(self, tmp_path, capsys, config_doc, key):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(config_doc))
+        code = main(
+            ["train-demo", "--config", str(config), "--output-dir", str(tmp_path / "out"),
+             "--seeds", "1", "--modes", "uniform", "--iterations", "1"]
+        )
+        assert code == 3
+        assert f"bad {key} value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,argv,config_doc,key",
+        [
+            ("train-demo", ["--sigma", "nan"], {}, "bad sigma value"),
+            ("train-demo", [], {"dataset": {"feature_noise": math.inf}}, "feature_noise"),
+            ("train-demo", [], {"dataset": {"class_pixel_fractions": [math.nan, 0.5, 0.5]}},
+             "bad dataset.class_pixel_fractions value"),
+            ("train-demo", [], {"train": {"sampler": {"epsilon": math.inf}}}, "epsilon"),
+            ("train-demo", [], {"train": {"lr0": math.inf}}, "lr0"),
+            ("train-demo", [], {"train": {"weight_decay": math.nan}},
+             "bad train.weight_decay value"),
+            ("oracle-audit", [], {"rel_tol": math.nan}, "bad rel_tol value"),
+        ],
+        ids=["sigma", "feature-noise", "fractions", "epsilon", "lr0", "weight-decay",
+             "rel-tol"],
+    )
+    def test_non_finite_values_exit_3_naming_the_key(
+        self, tmp_path, capsys, command, argv, config_doc, key
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(config_doc))
+        code = main(
+            [command, *argv, "--config", str(config), "--output-dir", str(tmp_path / "out")]
+            + (["--seeds", "1", "--modes", "lmp", "--iterations", "1"]
+               if command == "train-demo" else ["--instances", "2"])
+        )
+        assert code == 3
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_tuple_items_are_integers(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dataset": {"image_size": [24, 24.0]}}))
+        code = main(
+            ["train-demo", "--config", str(config), "--output-dir", str(tmp_path / "out"),
+             "--seeds", "1", "--modes", "uniform", "--iterations", "1"]
+        )
+        assert code == 0
 
     def test_integral_json_numbers_are_integers(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -15,20 +15,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import project_feasible_bisect
+from helpers import dual_path_value, project_feasible_bisect, project_feasible_dykstra
 import losspool
 import losspool.oracle
 import losspool.solver
 from losspool import PoolingConfig, solve_pool
 from losspool.oracle import (
-    _SCAN_GRID_SIZE,
     _dual_path_grid,
-    _dual_path_value,
     constraint_violation,
     kkt_residual,
     maximize_primal,
     project_feasible,
-    project_feasible_dykstra,
     random_instance,
     rel_err,
     run_audit,
@@ -318,15 +315,15 @@ class TestDualScan:
         """Every broadcast grid point, blocks and the alpha = 0 row included."""
         for losses, config in self.grid_cases():
             params = config.resolve(losses.size)
-            alphas = np.linspace(0.0, losses.max(), _SCAN_GRID_SIZE)
+            alphas = np.linspace(0.0, losses.max(), 1024)
             grid = _dual_path_grid(alphas, losses, params)
-            scalar = np.array([_dual_path_value(a, losses, params) for a in alphas])
+            scalar = np.array([dual_path_value(a, losses, params) for a in alphas])
             np.testing.assert_allclose(grid, scalar, rtol=1e-15, atol=0.0)
             assert np.argmin(grid) == np.argmin(scalar)
             assert grid[0] == pytest.approx(params.tau * losses.sum(), rel=1e-15)
 
     def test_large_grid_is_blocked(self):
-        """An unblocked [1024, n] grid would take about 800 MB per temporary."""
+        """An unblocked [65, n] grid would take about 52 MB per temporary."""
         losses = np.random.default_rng(13).lognormal(0.0, 1.0, 100_000)
         tracemalloc.start()
         try:
@@ -336,6 +333,17 @@ class TestDualScan:
             tracemalloc.stop()
         assert report.converged
         assert peak < 32 * 2**20
+
+    def test_audit_scan_is_within_rounding_of_the_solver(self):
+        """The grid refinement lands within a few ulps of the pooled value.
+
+        By weak duality no dual value may lie below the optimum, so a scan
+        below the solver by more than rounding would mean a wrong evaluator.
+        """
+        rows = run_audit(instances=200, seed=0).rows
+        assert max(row.scan_rel_err for row in rows) <= 2e-15
+        for row in rows:
+            assert row.scan_value >= row.solver_value * (1.0 - 1e-15)
 
 
 class TestOracleAgreement:

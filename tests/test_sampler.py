@@ -6,6 +6,8 @@ The frozen distributions are hand computed.  With per-class IoU
 binary: every value is a ratio of small integers times powers of two).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -175,7 +177,15 @@ class TestClassDistribution:
 
 class TestSamplerConfig:
     @pytest.mark.parametrize(
-        "kwargs", [{"blend": -0.1}, {"blend": 1.1}, {"epsilon": 0.0}, {"epsilon": -1.0}]
+        "kwargs",
+        [
+            {"blend": -0.1},
+            {"blend": 1.1},
+            {"epsilon": 0.0},
+            {"epsilon": -1.0},
+            {"epsilon": math.inf},
+            {"epsilon": math.nan},
+        ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

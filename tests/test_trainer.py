@@ -6,6 +6,7 @@ reproduce plain mean-loss training exactly, step for step.
 """
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -79,6 +80,27 @@ class TestDatasetSpec:
         base.update(overrides)
         with pytest.raises(ValueError):
             SyntheticDatasetSpec.from_dict(base)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"feature_noise": math.inf},
+            {"feature_noise": math.nan},
+            {"class_pixel_fractions": (math.nan, 0.5, 0.5)},
+            {"class_pixel_fractions": (math.inf, 0.5, 0.5)},
+        ],
+        ids=["inf-noise", "nan-noise", "nan-fraction", "inf-fraction"],
+    )
+    def test_rejects_non_finite_values(self, overrides):
+        with pytest.raises(ValueError):
+            small_spec(**overrides)
+
+    def test_tuple_items_cast_like_the_default(self):
+        spec = SyntheticDatasetSpec.from_dict({"image_size": [24, 24.0]})
+        assert spec.image_size == (24, 24)
+        assert all(type(side) is int for side in spec.image_size)
+        with pytest.raises(ValueError, match="bad dataset.class_pixel_fractions value"):
+            SyntheticDatasetSpec.from_dict({"class_pixel_fractions": [True, 0.5, 0.5]})
 
     def test_dict_round_trip(self):
         spec = small_spec(shape_kind="stripe")
@@ -223,6 +245,22 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"bad {key} value True|bad {key} value False"):
             TrainConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "data,key",
+        [
+            ({"lr0": math.nan}, "train.lr0"),
+            ({"weight_decay": math.nan}, "train.weight_decay"),
+            ({"pooling": {"p": math.nan}}, "train.pooling.p"),
+            ({"sampler": {"epsilon": math.nan}}, "train.sampler.epsilon"),
+        ],
+    )
+    def test_float_fields_reject_nan(self, data, key):
+        with pytest.raises(ValueError, match=f"bad {key} value nan"):
+            TrainConfig.from_dict(data)
+
+    def test_infinite_p_stays_valid(self):
+        assert TrainConfig.from_dict({"pooling": {"p": math.inf}}).pooling.p == math.inf
+
     def test_partial_sampler_dict_keeps_the_other_defaults(self):
         config = TrainConfig.from_dict({"sampler": {"blend": 0.5}})
         assert config.sampler == SamplerConfig(blend=0.5, epsilon=0.01)
@@ -239,6 +277,9 @@ class TestTrainConfig:
             {"batch_crops": 0},
             {"crop_size": (0, 4)},
             {"weight_decay": -1e-4},
+            {"lr0": math.inf},
+            {"weight_decay": math.inf},
+            {"weight_decay": math.nan},
         ],
     )
     def test_rejects_bad_values(self, overrides):
