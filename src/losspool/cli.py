@@ -44,7 +44,6 @@ from .trainer import (
     as_integer,
     as_real,
     check_crop_pooling,
-    class_pixel_counts,
     generate_dataset,
     save_model,
     train,
@@ -298,6 +297,20 @@ def _seed(value) -> int:
     return seed
 
 
+def _tolerance(value) -> float:
+    """A non-negative real."""
+    if (tol := as_real(value)) < 0:
+        raise ValueError("must be non-negative")
+    return tol
+
+
+def _object(value) -> dict:
+    """A JSON object, copied: ``cmd_train_demo`` merges flags into it."""
+    if not isinstance(value, dict):
+        raise ValueError("must be a JSON object")
+    return dict(value)
+
+
 def _split(value) -> list[str]:
     """The items of a comma-separated list, at least one."""
     tokens = [tok.strip() for tok in str(value).split(",") if tok.strip()]
@@ -430,8 +443,8 @@ def cmd_weight_curves(options: dict) -> int:
 _AUDIT_OPTIONS = {
     "instances": (500, _count, "number of random instances"),
     "seed": (0, _seed, "seed of the random instances"),
-    "rel_tol": (1e-4, as_real, "largest passing relative gap to either oracle"),
-    "kkt_tol": (1e-6, as_real, "largest passing KKT residual"),
+    "rel_tol": (1e-4, _tolerance, "largest passing relative gap to either oracle"),
+    "kkt_tol": (1e-6, _tolerance, "largest passing KKT residual"),
 }
 
 # Printed label of each audit check, keyed like AuditSummary.worst.
@@ -482,8 +495,8 @@ _DEMO_OPTIONS = {
     "modes": ("uniform,lmp", _split, "comma-separated loss modes"),
     "sigma": (None, as_real, "dataset feature noise"),
     "iterations": (None, _count, "training iterations per run"),
-    "dataset": ({}, dict, None),
-    "train": ({}, dict, None),
+    "dataset": ({}, _object, None),
+    "train": ({}, _object, None),
 }
 
 
@@ -504,7 +517,6 @@ def cmd_train_demo(options: dict) -> int:
 
     try:
         base_spec = SyntheticDatasetSpec.from_dict(dataset_options)
-        class_pixel_counts(base_spec)  # rejects a class rounded to 0 pixels
         base_train = TrainConfig.from_dict(train_options)
         mode_configs = [
             dataclasses.replace(base_train, loss_mode=mode) for mode in modes
@@ -513,7 +525,7 @@ def cmd_train_demo(options: dict) -> int:
             check_crop_pooling(
                 base_spec.image_size, base_train.crop_size, base_train.pooling
             )
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ParameterError(f"invalid demo config: {exc}") from exc
 
     out_dir = options["output_dir"]

@@ -17,6 +17,10 @@ solve and one gradient pass over them all.
 
 Everything is deterministic under the config seed, down to bit-exact loss
 histories, so paired-seed comparisons between reductions are meaningful.
+
+``from_dict`` reads a spec or a config, pooling and sampler included, with
+one reader that casts each value like the field's default and names the
+key path of a value it rejects.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,16 +72,6 @@ class TrainingDivergence(RuntimeError):
     """Raised when the optimisation produces a non-finite loss or weights."""
 
 
-def _check_keys(cls, data: dict, where: str) -> None:
-    """Reject a ``data`` that is not a dict or names a field ``cls`` lacks."""
-    if not isinstance(data, dict):
-        raise TypeError(f"{where} must be a dict, got {type(data).__name__}")
-    names = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in names:
-            raise ValueError(f"unknown key {key!r} in {where}")
-
-
 def as_integer(value) -> int:
     """``int(value)``, but a fraction or a bool is an error: 2.5 is not 2, true not 1."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -92,14 +86,6 @@ def as_real(value) -> float:
     return real
 
 
-def _cast(convert, value, name: str):
-    """``convert(value)``; a failure is a ``ValueError`` naming ``name``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad {name} value {value!r}: {exc}") from None
-
-
 def _converter(example):
     """The cast to a value like ``example``; a tuple casts each item like its first."""
     if isinstance(example, tuple):
@@ -109,13 +95,37 @@ def _converter(example):
     return {int: as_integer, float: as_real}.get(kind, kind)
 
 
-def _fields_over(default, data: dict, where: str) -> dict:
-    """The fields ``data`` sets, each cast like its value in ``default``."""
-    _check_keys(type(default), data, where)
-    return {
-        key: _cast(_converter(getattr(default, key)), value, f"{where}.{key}")
-        for key, value in data.items()
-    }
+def _read(default, data, where: str):
+    """``default`` with the fields the dict ``data`` sets, each read like its default.
+
+    A tuple casts item by item, an unset ``m`` or ``m_fraction`` as a float,
+    and a config field with this reader, over its value or, for an unset
+    sampler, over ``SamplerConfig()``.  A ``null`` leaves a config field, or
+    a field unset by default, as it is.  A non-dict, an unknown key or a
+    value that does not cast raises a ``ValueError`` naming the key path;
+    ``__post_init__`` checks the result.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
+    names = {f.name for f in fields(default)}
+    # A pooling dict that sets m clears the default m_fraction.
+    changes = {"m_fraction": None} if "m" in names and data.get("m") is not None else {}
+    for key, value in data.items():
+        if key not in names:
+            raise ValueError(f"unknown key {key!r} in {where}")
+        example = changes.get(key, getattr(default, key))
+        if value is None and (example is None or is_dataclass(example)):
+            continue
+        if example is None:
+            example = SamplerConfig() if key == "sampler" else 0.0
+        if is_dataclass(example):
+            changes[key] = _read(example, value, f"{where}.{key}")
+            continue
+        try:
+            changes[key] = _converter(example)(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad {where}.{key} value {value!r}: {exc}") from None
+    return replace(default, **changes)
 
 
 @dataclass(frozen=True)
@@ -142,9 +152,8 @@ class SyntheticDatasetSpec:
             raise ValueError(f"need at least 2 classes, got {self.classes}")
         if self.images < 2:
             raise ValueError("need at least 2 images for a train/eval split")
-        h, w = self.image_size
-        if h < 1 or w < 1:
-            raise ValueError(f"bad image size {self.image_size!r}")
+        if len(self.image_size) != 2 or min(self.image_size) < 1:
+            raise ValueError(f"image_size must be two sizes of at least 1, got {self.image_size!r}")
         fr = self.class_pixel_fractions
         if len(fr) != self.classes:
             raise ValueError(
@@ -158,12 +167,13 @@ class SyntheticDatasetSpec:
             raise ValueError("feature_noise must be finite and non-negative")
         if self.shape_kind not in ("blob", "stripe"):
             raise ValueError(f"unknown shape_kind {self.shape_kind!r}")
+        class_pixel_counts(self)  # rejects a class rounded to 0 pixels
 
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticDatasetSpec":
-        """Build a spec from a possibly partial dict; missing keys keep the
-        defaults and a key that is not a field raises ``ValueError``."""
-        return cls(**_fields_over(cls(), data, "dataset"))
+        """Build a spec from a possibly partial dict, read by ``_read``: missing
+        keys keep the defaults, and a bad key or value raises ``ValueError``."""
+        return _read(cls(), data, "dataset")
 
 
 def class_pixel_counts(spec: SyntheticDatasetSpec) -> np.ndarray:
@@ -323,47 +333,24 @@ class TrainConfig:
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0!r}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if not (self.poly_power > 0):
-            raise ValueError(f"poly_power must be positive, got {self.poly_power!r}")
+        if not (0 < self.poly_power < math.inf):
+            raise ValueError(f"poly_power must be positive and finite, got {self.poly_power!r}")
         if self.iterations < 1 or self.batch_crops < 1:
             raise ValueError("iterations and batch_crops must be at least 1")
-        ch, cw = self.crop_size
-        if ch < 1 or cw < 1:
-            raise ValueError(f"bad crop size {self.crop_size!r}")
+        if len(self.crop_size) != 2 or min(self.crop_size) < 1:
+            raise ValueError(f"crop_size must be two sizes of at least 1, got {self.crop_size!r}")
         if not (0 <= self.weight_decay < math.inf):
             raise ValueError("weight_decay must be finite and non-negative")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        """Build a config from a possibly partial dict.
+        """Build a config from a possibly partial dict, read by ``_read``.
 
-        Missing keys keep the defaults; a key that is not a field, here or
-        in the pooling or sampler dict, raises ``ValueError``.  A pooling
-        dict that sets ``m`` gets no ``m_fraction``.
+        Missing keys keep the defaults, here and in the pooling or sampler
+        dict; a bad key or value raises ``ValueError``.  A pooling dict that
+        sets ``m`` clears the default ``m_fraction``.
         """
-        default = cls()
-        pooling = data.get("pooling") or {}
-        _check_keys(PoolingConfig, pooling, "train.pooling")
-        for key, value in pooling.items():
-            if value is not None:  # checked only: the config echo keeps the values
-                _cast(as_real, value, f"train.pooling.{key}")
-        sampler = data.get("sampler")
-        flat = {k: v for k, v in data.items() if k not in ("pooling", "sampler")}
-        return cls(
-            **_fields_over(default, flat, "train"),
-            pooling=PoolingConfig(
-                p=float(pooling.get("p", default.pooling.p)),
-                m=pooling.get("m"),
-                m_fraction=(
-                    pooling.get("m_fraction", default.pooling.m_fraction)
-                    if pooling.get("m") is None
-                    else None
-                ),
-            ),
-            sampler=None if sampler is None else SamplerConfig(
-                **_fields_over(SamplerConfig(), sampler, "train.sampler")
-            ),
-        )
+        return _read(cls(), data, "train")
 
 
 @dataclass

@@ -1,15 +1,18 @@
-"""The benchmark's trace targets exist in the program.
+"""The benchmark's trace targets and imports exist in the program.
 
-``bench/spans.py`` times the program by replacing module attributes; a
-refactor that renames one of them would otherwise show up only in a traced
-benchmark run.  The module imports only the standard library, so it is
-loaded here straight from its file.
+``bench/spans.py`` times the program by replacing module attributes, and
+the other bench scripts import names from ``losspool``; a refactor that
+renames one of them would otherwise show up only in a benchmark run.
+``spans.py`` imports only the standard library, so it is loaded here
+straight from its file; the other scripts are only parsed.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def load_spans():
@@ -25,3 +28,18 @@ def test_every_trace_target_is_a_callable_attribute():
     for module_name, attribute, _, _ in targets:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attribute, None)), (module_name, attribute)
+
+
+def test_every_name_the_bench_imports_from_losspool_exists():
+    imported = [
+        (script.name, node.module, alias.name)
+        for script in sorted(BENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(script.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "losspool"
+        for alias in node.names
+    ]
+    assert any(name == "train" for _, _, name in imported)
+    for script, module_name, name in imported:
+        module = importlib.import_module(module_name)
+        assert hasattr(module, name), (script, module_name, name)

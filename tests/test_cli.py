@@ -22,6 +22,7 @@ import losspool
 from losspool.cli import (
     InputDataError,
     _ARRAY_CHUNK,
+    _DEMO_OPTIONS,
     _build_parser,
     _write_json,
     main,
@@ -559,6 +560,22 @@ class TestOracleAuditCommand:
         assert report["all_passed"] is False
 
     @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["--rel-tol", "-1"], "rel_tol"),
+            (["--kkt-tol=-1e-9"], "kkt_tol"),
+            (["--config", "tol.json"], "rel_tol"),
+        ],
+        ids=["rel-tol-flag", "kkt-tol-flag", "rel-tol-config"],
+    )
+    def test_negative_tolerance_exits_3_without_a_report(self, tmp_path, capsys, argv, key):
+        (tmp_path / "tol.json").write_text(json.dumps({"rel_tol": -1e-4}))
+        code = main(["oracle-audit", "--instances", "3", *argv, "--output-dir", str(tmp_path)])
+        assert code == 3
+        assert f"bad {key} value" in capsys.readouterr().err
+        assert not (tmp_path / "audit_report.json").exists()
+
+    @pytest.mark.parametrize(
         "config_doc,fragment",
         [({"instances": "many"}, "instances"), ({"seed": -1}, "non-negative")],
     )
@@ -846,6 +863,45 @@ class TestTrainDemoCommand:
              "--output-dir", str(tmp_path)]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "config_doc,fragment",
+        [
+            ({"train": {"poly_power": math.inf, "iterations": 3}}, "poly_power"),
+            ({"train": {"crop_size": [12]}}, "crop_size"),
+            ({"dataset": {"image_size": [24, 24, 24]}}, "image_size"),
+            ({"dataset": [["images", 4]]}, "bad dataset value"),
+            ({"train": [["iterations", 3]]}, "bad train value"),
+            ({"train": {"pooling": [["m", 25]]}}, "train.pooling"),
+            ({"train": {"pooling": {"m": 25, "m_fraction": 0.5}}}, "exactly one of m"),
+            ({"dataset": {"class_pixel_fractions": [0.999, 0.0005, 0.0005]}}, "class 1"),
+        ],
+        ids=["infinite-power", "short-crop", "long-image", "dataset-pairs", "train-pairs",
+             "pooling-pairs", "m-and-fraction", "starved-class"],
+    )
+    def test_config_faults_exit_3_naming_the_key_and_write_nothing(
+        self, tmp_path, capsys, config_doc, fragment
+    ):
+        config = tmp_path / "demo.json"
+        config.write_text(json.dumps(config_doc))
+        code = main(
+            ["train-demo", "--seeds", "1", "--config", str(config),
+             "--output-dir", str(tmp_path / "out")]
+        )
+        assert code == 3
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_pooling_values_convert_like_other_floats(self, tmp_path, capsys):
+        assert main(self.clipped_crop_args(tmp_path, "25")) == 0
+        doc = json.loads((tmp_path / "out" / "report_lmp_seed1.json").read_text())
+        assert doc["config_echo"]["pooling"] == {"p": 1.3, "m": 25.0, "m_fraction": None}
+
+    def test_merging_flags_leaves_the_option_defaults_alone(self, tmp_path, capsys):
+        argv = ["train-demo", "--seeds", "1", "--modes", "uniform", "--sigma", "0.3",
+                "--iterations", "2", "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert _DEMO_OPTIONS["dataset"][0] == {} and _DEMO_OPTIONS["train"][0] == {}
 
 
 class TestOptionTables:

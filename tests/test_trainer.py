@@ -5,9 +5,11 @@ task is linearly separable), and pooling with m at 100% of the pixels must
 reproduce plain mean-loss training exactly, step for step.
 """
 
+import ast
 import json
 import math
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,11 +142,8 @@ class TestClassPixelCounts:
             )
 
     def test_rejects_starved_class(self):
-        spec = SyntheticDatasetSpec(
-            class_pixel_fractions=(0.999, 0.0005, 0.0005)
-        )
         with pytest.raises(ValueError, match="class 1"):
-            class_pixel_counts(spec)
+            SyntheticDatasetSpec(class_pixel_fractions=(0.999, 0.0005, 0.0005))
 
 
 class TestGenerateDataset:
@@ -285,6 +284,100 @@ class TestTrainConfig:
     def test_rejects_bad_values(self, overrides):
         with pytest.raises(ValueError):
             TrainConfig(**overrides)
+
+
+def bench_demo_config() -> dict:
+    """``DEMO_CONFIG`` of ``bench/workloads.py``, read without importing the bench."""
+    source = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    (value,) = [
+        node.value
+        for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "DEMO_CONFIG"
+    ]
+    return ast.literal_eval(value)
+
+
+READ_TRAIN_CONFIGS = [
+    TrainConfig(),
+    TrainConfig(
+        loss_mode="lmp",
+        pooling=PoolingConfig(p=2.0, m=5.0),
+        sampler=SamplerConfig(blend=0.25, epsilon=0.02),
+        iterations=12,
+    ),
+    TrainConfig(
+        pooling=PoolingConfig(p=math.inf, m_fraction=1.0),
+        crop_size=(5, 7),
+        sampler=SamplerConfig(),
+        weight_decay=0.0,
+    ),
+]
+
+READ_SPECS = [
+    SyntheticDatasetSpec(),
+    small_spec(shape_kind="stripe"),
+    SyntheticDatasetSpec(classes=2, class_pixel_fractions=(0.5, 0.5), image_size=(3, 8)),
+]
+
+
+class TestConfigReader:
+    """One reader serves ``dataset``, ``train``, ``train.pooling`` and ``train.sampler``.
+
+    Results are compared by ``repr`` as well, so a float field read as an
+    int shows: ``PoolingConfig(m=100) == PoolingConfig(m=100.0)``.
+    """
+
+    @pytest.mark.parametrize(
+        "data,expected",
+        [(asdict(config), config) for config in READ_TRAIN_CONFIGS]
+        + [
+            ({}, TrainConfig()),
+            ({"pooling": {"p": 2}}, TrainConfig(pooling=PoolingConfig(p=2.0, m_fraction=0.25))),
+            ({"pooling": {"m": 100}}, TrainConfig(pooling=PoolingConfig(p=1.3, m=100.0))),
+            ({"pooling": {"p": 2, "m": 30}}, TrainConfig(pooling=PoolingConfig(p=2.0, m=30.0))),
+            ({"pooling": {"m": "25"}}, TrainConfig(pooling=PoolingConfig(p=1.3, m=25.0))),
+            ({"pooling": {"m": None}}, TrainConfig()),
+            ({"pooling": None}, TrainConfig()),
+            ({"sampler": None}, TrainConfig()),
+            ({"sampler": {}}, TrainConfig(sampler=SamplerConfig())),
+            (bench_demo_config()["train"], TrainConfig(sampler=SamplerConfig(0.5, 0.01))),
+        ],
+    )
+    def test_train_configs_read_as_expected(self, data, expected):
+        result = TrainConfig.from_dict(data)
+        assert result == expected
+        assert repr(result) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "data,expected",
+        [(asdict(spec), spec) for spec in READ_SPECS]
+        + [
+            ({}, SyntheticDatasetSpec()),
+            ({"images": 4}, SyntheticDatasetSpec(images=4)),
+            ({"image_size": [24, 24.0]}, SyntheticDatasetSpec()),
+        ],
+    )
+    def test_specs_read_as_expected(self, data, expected):
+        result = SyntheticDatasetSpec.from_dict(data)
+        assert result == expected
+        assert repr(result) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "read,data,message",
+        [
+            (TrainConfig.from_dict, {"pooling": {"m": 25, "m_fraction": 0.5}},
+             "exactly one of m and m_fraction"),
+            (TrainConfig.from_dict, {"pooling": []}, "train.pooling must be a JSON object"),
+            (TrainConfig.from_dict, {"sampler": [["blend", 0.5]]},
+             "train.sampler must be a JSON object"),
+            (TrainConfig.from_dict, {"pooling": {"p": None}}, "bad train.pooling.p value None"),
+            (SyntheticDatasetSpec.from_dict, [["images", 4]], "dataset must be a JSON object"),
+        ],
+        ids=["m-and-fraction", "pooling-list", "sampler-pairs", "null-p", "dataset-pairs"],
+    )
+    def test_faults_raise_value_errors_naming_the_key(self, read, data, message):
+        with pytest.raises(ValueError, match=message):
+            read(data)
 
 
 class TestPolyLr:
