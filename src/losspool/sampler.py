@@ -9,12 +9,18 @@ chosen class to a concrete (image, row, column) anchor.
 
 Classes never observed as ground truth are treated as having IoU 1, so the
 bias never chases classes the data does not contain.
+
+The per-crop state is updated on Python floats, not on arrays of a handful
+of numbers: the IoU, the draw distribution and the class draw add in
+numpy's reduction order, so they give the bits the array code would.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -60,26 +66,68 @@ class ClassStats:
 
 
 def confusion_counts(labels, predictions, num_classes: int) -> np.ndarray:
-    """Integer confusion matrix ``[true, predicted]`` of two id vectors."""
-    flat = labels * num_classes + predictions
+    """Integer confusion matrix ``[true, predicted]`` of two id vectors.
+
+    An id outside ``[0, num_classes)`` in either vector raises ``ValueError``.
+    """
+    try:
+        flat = np.ravel_multi_index((labels, predictions), (num_classes, num_classes))
+    except ValueError:
+        raise ValueError(f"class ids must lie in [0, {num_classes})") from None
     return np.bincount(flat, minlength=num_classes * num_classes).reshape(
         num_classes, num_classes
     )
 
 
-def confusion_iou(confusion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sequential_sum(values):
+    """``values[0] + values[1] + ...``, left to right (no compensation)."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+def _numpy_sum(values):
+    """The sum ``np.sum`` gives over a contiguous vector, in its order.
+
+    Below 8 terms that is sequential; up to 128, eight interleaved partial
+    sums joined pairwise, then the tail; beyond, the two halves apart (the
+    first a multiple of 8 long).
+    """
+    n = len(values)
+    if n < 8:
+        return _sequential_sum(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
+    body = n - n % 8
+    lanes = list(values[:8])
+    for start in range(8, body, 8):
+        for lane in range(8):
+            lanes[lane] += values[start + lane]
+    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+        (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+    )
+    for value in values[body:]:
+        total += value
+    return total
+
+
+def confusion_iou(confusion) -> tuple[list[float], list[bool]]:
     """Per-class TP / (TP + FP + FN) of a confusion matrix (rows = true class).
 
-    Also returns the mask of classes whose union is non-empty; the others
-    read 1.
+    Also returns which classes have a non-empty union; the others read 1.
+    Takes the matrix or its ``tolist()`` and works on its Python numbers,
+    summing rows like ``sum(axis=1)`` and columns like ``sum(axis=0)``
+    (sequentially), so float counts give numpy's bits.
     """
-    tp = np.diag(confusion)
-    fp = confusion.sum(axis=0) - tp
-    fn = confusion.sum(axis=1) - tp
-    union = tp + fp + fn
-    seen = union > 0
-    iou = np.ones(confusion.shape[0])
-    iou[seen] = tp[seen] / union[seen]
+    rows = confusion.tolist() if isinstance(confusion, np.ndarray) else confusion
+    iou, seen = [], []
+    for k, (row, column) in enumerate(zip(rows, zip(*rows))):
+        tp = row[k]
+        union = tp + (_sequential_sum(column) - tp) + (_numpy_sum(row) - tp)
+        iou.append(tp / union if union > 0 else 1.0)
+        seen.append(union > 0)
     return iou, seen
 
 
@@ -87,23 +135,23 @@ def update_stats(stats: ClassStats, predictions, labels) -> ClassStats:
     """Decay the confusion counts, then add this batch's pixels.
 
     Returns the same (mutated) stats object and appends the refreshed IoU
-    vector to ``iou_history``.
+    vector to ``iou_history``.  A batch with an id outside
+    ``[0, num_classes)`` raises ``ValueError`` and leaves the stats alone.
     """
     predictions = np.asarray(predictions).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if predictions.shape != labels.shape:
         raise ValueError("predictions and labels must have equal length")
-    c = stats.num_classes
-    if labels.size and (
-        min(predictions.min(), labels.min()) < 0 or max(predictions.max(), labels.max()) >= c
-    ):
-        raise ValueError(f"class ids must lie in [0, {c})")
+    counts = confusion_counts(labels, predictions, stats.num_classes)
 
     stats.confusion *= DECAY
-    stats.confusion += confusion_counts(labels, predictions, c)
-    stats.iou = confusion_iou(stats.confusion)[0]
-    stats.present = stats.confusion.sum(axis=1) > 0
-    stats.iou_history.append(stats.iou.tolist())
+    stats.confusion += counts
+    rows = stats.confusion.tolist()
+    iou = confusion_iou(rows)[0]
+    stats.iou = np.array(iou)
+    # The counts are non-negative: a row sums above 0 when any entry does.
+    stats.present = np.array([any(row) for row in rows])
+    stats.iou_history.append(iou)
     return stats
 
 
@@ -132,21 +180,47 @@ def class_distribution(stats: ClassStats, config: SamplerConfig) -> np.ndarray:
     components restricted to classes present in the data.  Before anything
     has been observed every class counts as present.
     """
-    present = stats.present
-    if not np.any(present):
-        present = np.ones(stats.num_classes, dtype=bool)
-    uniform = present / np.count_nonzero(present)
+    present = stats.present.tolist()
+    if not any(present):
+        present = [True] * stats.num_classes
+    share = 1.0 / present.count(True)
+    inverse = [
+        1.0 - iou + config.epsilon if seen else 0.0
+        for iou, seen in zip(stats.iou.tolist(), present)
+    ]
+    total = _numpy_sum(inverse)
+    return np.array([
+        config.blend * (share if seen else 0.0) + (1.0 - config.blend) * (weight / total)
+        for weight, seen in zip(inverse, present)
+    ])
 
-    inverse = np.where(present, 1.0 - stats.iou + config.epsilon, 0.0)
-    inverse = inverse / inverse.sum()
-    return config.blend * uniform + (1.0 - config.blend) * inverse
+
+# How far from 1 ``Generator.choice`` lets its probabilities sum.
+_SUM_TOLERANCE = math.sqrt(sys.float_info.epsilon)
 
 
 def sample_class(
     stats: ClassStats, config: SamplerConfig, rng: np.random.Generator
 ) -> int:
-    """Draw one class id from :func:`class_distribution`."""
-    return int(rng.choice(stats.num_classes, p=class_distribution(stats, config)))
+    """Draw one class id from :func:`class_distribution`.
+
+    The draw is ``rng.choice(num_classes, p=...)``'s, on Python floats: one
+    ``rng.random()`` against the running sum divided by its last entry; the
+    id is the count of entries at or below the draw.  Like ``choice``, a NaN, a
+    negative entry or a sum off 1 by more than sqrt(eps) raises ``ValueError``.
+    """
+    p = class_distribution(stats, config).tolist()
+    cdf = list(accumulate(p))  # p.cumsum(): sequential
+    total = cdf[-1]
+    if math.isnan(total):
+        raise ValueError("probabilities contain NaN")
+    if min(p) < 0:
+        raise ValueError("probabilities are not non-negative")
+    if abs(total - 1.0) > _SUM_TOLERANCE:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    u = rng.random()
+    # The last entry divides to exactly 1, above any u in [0, 1).
+    return next(k for k, c in enumerate(cdf) if c / total > u)
 
 
 class CropAnchor(NamedTuple):

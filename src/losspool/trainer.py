@@ -87,10 +87,17 @@ def as_real(value) -> float:
 
 
 def _converter(example):
-    """The cast to a value like ``example``; a tuple casts each item like its first."""
+    """The cast to a value like ``example``; a tuple takes an array and casts
+    each item like its first."""
     if isinstance(example, tuple):
         item = _converter(example[0])
-        return lambda value: tuple(map(item, value))
+
+        def cast(value):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"expected an array, got {type(value).__name__}")
+            return tuple(map(item, value))
+
+        return cast
     kind = type(example)
     return {int: as_integer, float: as_real}.get(kind, kind)
 
@@ -452,6 +459,9 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
 
     weights = np.zeros((num_features + 1, num_classes))
     velocity = np.zeros_like(weights)
+    # The training images with the bias feature appended, built once.
+    inputs = np.ones((train_idx.size, h, w, num_features + 1))
+    inputs[..., :-1] = dataset.features[train_idx]
 
     class_weights = None
     if config.loss_mode == "inverse_median_freq":
@@ -474,12 +484,10 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
                 img, row, col, _ = pick_crop(crop_index, anchor_class, rng)
             else:
                 img, row, col = (int(rng.integers(k)) for k in (train_idx.size, h, w))
-            rows, cols = _clipped_window(row, ch, h), _clipped_window(col, cw, w)
-            window = (train_idx[img], slice(*rows), slice(*cols))
-            feats = dataset.features[window].reshape(-1, num_features)
-            crops.append(np.concatenate([feats, np.ones((feats.shape[0], 1))], axis=1))
+            rows, cols = slice(*_clipped_window(row, ch, h)), slice(*_clipped_window(col, cw, w))
+            crops.append(inputs[img, rows, cols].reshape(-1, num_features + 1))
             logits.append(crops[-1] @ weights)
-            labels.append(dataset.labels[window].reshape(-1))
+            labels.append(dataset.labels[train_idx[img], rows, cols].reshape(-1))
             if stats is not None:
                 update_stats(stats, logits[-1].argmax(axis=1), labels[-1])
 
@@ -548,9 +556,8 @@ def evaluate(
     labels = dataset.labels[indices].reshape(-1)
     x = np.concatenate([feats, np.ones((feats.shape[0], 1))], axis=1)
     predictions = np.argmax(x @ weights, axis=1)
-    per_class, covered = confusion_iou(
-        confusion_counts(labels, predictions, dataset.num_classes)
-    )
+    iou, covered = confusion_iou(confusion_counts(labels, predictions, dataset.num_classes))
+    per_class = np.array(iou)
     return per_class, float(per_class[covered].mean())
 
 

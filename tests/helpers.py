@@ -135,6 +135,32 @@ def dual_path_value(alpha, values, params):
     )
 
 
+def confusion_iou_numpy(confusion):
+    """The IoU of a confusion matrix on numpy arrays: the reference for
+    :func:`losspool.sampler.confusion_iou`, which adds in the same order."""
+    tp = np.diag(confusion)
+    fp = confusion.sum(axis=0) - tp
+    fn = confusion.sum(axis=1) - tp
+    union = tp + fp + fn
+    seen = union > 0
+    iou = np.ones(confusion.shape[0])
+    iou[seen] = tp[seen] / union[seen]
+    return iou, seen
+
+
+def class_distribution_numpy(stats, config):
+    """The class-draw distribution on numpy arrays: the reference for
+    :func:`losspool.sampler.class_distribution`."""
+    present = stats.present
+    if not np.any(present):
+        present = np.ones(stats.num_classes, dtype=bool)
+    uniform = present / np.count_nonzero(present)
+
+    inverse = np.where(present, 1.0 - stats.iou + config.epsilon, 0.0)
+    inverse = inverse / inverse.sum()
+    return config.blend * uniform + (1.0 - config.blend) * inverse
+
+
 def train_per_crop(dataset, config):
     """The trainer's step with one loss, solve and gradient call per crop.
 

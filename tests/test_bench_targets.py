@@ -4,12 +4,17 @@
 the other bench scripts import names from ``losspool``; a refactor that
 renames one of them would otherwise show up only in a benchmark run.
 ``spans.py`` imports only the standard library, so it is loaded here
-straight from its file; the other scripts are only parsed.
+straight from its file; the other scripts are only parsed.  A short traced
+``train-demo`` checks that the tracer can time and count every sampler
+layer, as a traced benchmark run would.
 """
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
+
+from losspool.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS = BENCH / "spans.py"
@@ -43,3 +48,20 @@ def test_every_name_the_bench_imports_from_losspool_exists():
     for script, module_name, name in imported:
         module = importlib.import_module(module_name)
         assert hasattr(module, name), (script, module_name, name)
+
+
+def test_a_traced_demo_times_and_counts_every_sampler_layer(tmp_path, capsys):
+    config = tmp_path / "demo.json"
+    config.write_text(json.dumps({"train": {"sampler": {"blend": 0.5, "epsilon": 0.01}}}))
+    tracer = load_spans().Tracer()
+    with tracer.installed():
+        code = main(["train-demo", "--seeds", "1", "--modes", "uniform", "--iterations", "1",
+                     "--config", str(config), "--output-dir", str(tmp_path / "out")])
+    tracer.drain()
+    assert code == 0
+    layers = ["trainer.train", "sampler.sample_class", "sampler.pick_crop",
+              "sampler.update_stats"]
+    assert tracer.problems(layers) == []
+    crops = tracer.totals["sampler.update_stats"][0]
+    assert crops == tracer.totals["sampler.sample_class"][0] == tracer.counts["sampler.picks"]
+    assert tracer.counts["sampler.iou_history_len"] == crops > 0

@@ -875,9 +875,13 @@ class TestTrainDemoCommand:
             ({"train": {"pooling": [["m", 25]]}}, "train.pooling"),
             ({"train": {"pooling": {"m": 25, "m_fraction": 0.5}}}, "exactly one of m"),
             ({"dataset": {"class_pixel_fractions": [0.999, 0.0005, 0.0005]}}, "class 1"),
+            ({"train": {"crop_size": "12"}}, "bad train.crop_size value '12'"),
+            ({"train": {"crop_size": {"1": 0, "2": 0}}}, "bad train.crop_size value {"),
+            ({"dataset": {"image_size": "99"}}, "bad dataset.image_size value '99'"),
         ],
         ids=["infinite-power", "short-crop", "long-image", "dataset-pairs", "train-pairs",
-             "pooling-pairs", "m-and-fraction", "starved-class"],
+             "pooling-pairs", "m-and-fraction", "starved-class", "crop-string", "crop-object",
+             "image-string"],
     )
     def test_config_faults_exit_3_naming_the_key_and_write_nothing(
         self, tmp_path, capsys, config_doc, fragment

@@ -11,12 +11,15 @@ import math
 import numpy as np
 import pytest
 
+from helpers import class_distribution_numpy, confusion_iou_numpy
 from losspool.sampler import (
+    DECAY,
     ClassStats,
     CropAnchor,
     CropIndex,
     SamplerConfig,
     class_distribution,
+    confusion_counts,
     confusion_iou,
     pick_crop,
     sample_class,
@@ -93,11 +96,25 @@ class TestUpdateStats:
         with pytest.raises(ValueError, match="equal length"):
             update_stats(stats, [0, 1], [0])
 
-    @pytest.mark.parametrize("preds,labels", [([0, 5], [0, 0]), ([0, 0], [-1, 0])])
+    @pytest.mark.parametrize(
+        "preds,labels",
+        [
+            ([0, 5], [0, 0]),
+            ([0, 0], [-1, 0]),
+            # Flat ids label * 3 + prediction of 1 and 4: inside the 9 bins.
+            ([4, 0], [-1, 0]),
+            ([0, 4], [0, 0]),
+            ([0, 0], [3, 0]),
+            ([3], [0]),
+        ],
+    )
     def test_rejects_out_of_range_ids(self, preds, labels):
         stats = ClassStats(num_classes=3)
         with pytest.raises(ValueError, match="class ids"):
             update_stats(stats, preds, labels)
+        # A rejected batch leaves the counts alone.
+        np.testing.assert_array_equal(stats.confusion, np.zeros((3, 3)))
+        assert stats.iou_history == []
 
 
 class TestClassDistribution:
@@ -263,6 +280,77 @@ class TestStoredIou:
             np.testing.assert_array_equal(stats.iou, confusion_iou(stats.confusion)[0])
             np.testing.assert_array_equal(stats.present, stats.confusion.sum(axis=1) > 0)
             assert stats.iou_history[-1] == stats.iou.tolist()
+
+
+def decayed_stats(num_classes, seed, steps=150):
+    """One stats object through ``steps`` updates, yielded after each.
+
+    Labels and predictions come from random subsets of the classes, so
+    classes drop in.  Now and then the counts decay as over 73,000 to 76,000
+    empty updates, into the subnormals or to 0, so classes drop out too.
+    """
+    rng = np.random.default_rng(seed)
+    stats = ClassStats(num_classes)
+    for _ in range(steps):
+        if rng.random() < 0.05:
+            stats.confusion *= DECAY ** int(rng.integers(73_000, 76_000))
+            size = 0
+        else:
+            size = int(rng.integers(0, 40))
+        ids = [np.flatnonzero(rng.random(num_classes) < 0.6) for _ in range(2)]
+        if not all(i.size for i in ids):
+            size = 0
+        labels, preds = (rng.choice(i, size) if size else np.zeros(0, int) for i in ids)
+        yield update_stats(stats, preds, labels)
+
+
+class TestNumpyReferences:
+    """The Python-float sampler gives the bits of the numpy code it replaced.
+
+    Below 8 classes numpy adds sequentially; from 8 on, its row sums go
+    pairwise, so those sizes are covered as well.
+    """
+
+    SIZES = [2, 3, 4, 5, 6, 7, 8, 9, 17, 130]
+
+    @pytest.mark.parametrize("num_classes", SIZES)
+    def test_iou_and_presence_match_numpy(self, num_classes):
+        steps = 150 if num_classes < 100 else 20
+        for stats in decayed_stats(num_classes, seed=num_classes, steps=steps):
+            reference, seen = confusion_iou_numpy(stats.confusion)
+            iou, covered = confusion_iou(stats.confusion)
+            assert np.array(iou).tobytes() == reference.tobytes()
+            assert covered == seen.tolist()
+            assert stats.iou.tobytes() == reference.tobytes()
+            assert stats.present.tolist() == (stats.confusion.sum(axis=1) > 0).tolist()
+
+    @pytest.mark.parametrize("num_classes", SIZES)
+    def test_distribution_matches_numpy(self, num_classes):
+        rng = np.random.default_rng(1000 + num_classes)
+        configs = [SamplerConfig(blend, epsilon) for blend in (0.0, 0.5, 1.0)
+                   for epsilon in (0.01, 1e-9)]
+        configs.append(SamplerConfig(float(rng.uniform()), float(rng.uniform(0.001, 2))))
+        steps = 150 if num_classes < 100 else 20
+        for stats in decayed_stats(num_classes, seed=num_classes, steps=steps):
+            for config in configs:
+                ours = class_distribution(stats, config)
+                assert ours.dtype == np.float64
+                assert ours.tobytes() == class_distribution_numpy(stats, config).tobytes()
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 7, 9])
+    def test_integer_counts_match_numpy(self, num_classes):
+        rng = np.random.default_rng(num_classes)
+        for _ in range(50):
+            size = int(rng.integers(1, 200))
+            counts = confusion_counts(
+                rng.integers(0, num_classes, size),
+                rng.integers(0, int(rng.integers(1, num_classes + 1)), size),
+                num_classes,
+            )
+            reference, seen = confusion_iou_numpy(counts)
+            iou, covered = confusion_iou(counts)
+            assert np.array(iou).tobytes() == reference.tobytes()
+            assert covered == seen.tolist()
 
 
 class TestCropIndex:

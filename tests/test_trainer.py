@@ -372,8 +372,19 @@ class TestConfigReader:
              "train.sampler must be a JSON object"),
             (TrainConfig.from_dict, {"pooling": {"p": None}}, "bad train.pooling.p value None"),
             (SyntheticDatasetSpec.from_dict, [["images", 4]], "dataset must be a JSON object"),
+            # A tuple field takes an array, not a string or object to iterate.
+            (TrainConfig.from_dict, {"crop_size": "12"},
+             "bad train.crop_size value '12': expected an array, got str"),
+            (TrainConfig.from_dict, {"crop_size": {"1": 0, "2": 0}},
+             "bad train.crop_size value .*: expected an array, got dict"),
+            (TrainConfig.from_dict, {"crop_size": 12}, "bad train.crop_size value 12"),
+            (SyntheticDatasetSpec.from_dict, {"image_size": "99"},
+             "bad dataset.image_size value '99'"),
+            (SyntheticDatasetSpec.from_dict, {"class_pixel_fractions": "1"},
+             "bad dataset.class_pixel_fractions value '1'"),
         ],
-        ids=["m-and-fraction", "pooling-list", "sampler-pairs", "null-p", "dataset-pairs"],
+        ids=["m-and-fraction", "pooling-list", "sampler-pairs", "null-p", "dataset-pairs",
+             "crop-string", "crop-object", "crop-number", "image-string", "fractions-string"],
     )
     def test_faults_raise_value_errors_naming_the_key(self, read, data, message):
         with pytest.raises(ValueError, match=message):
