@@ -8,7 +8,9 @@ Two independent routes to the pooled value, used to audit
   intersection of the weight box ``[0, tau]^n`` and the p-norm ball of
   radius ``gamma``.  The objective is linear and the set convex and compact,
   so the fixed point of the project-and-step map is a global maximiser.
-  The projection finds its multiplier by a bracketed Illinois step.
+  The projection finds its multiplier by a bracketed Illinois step and
+  returns the candidate at the bracket's feasible end, so every point the
+  ascent scores lies in the set exactly.
 * :func:`scan_dual_alpha` walks the dual path ``lam(alpha) = max(l - alpha,
   0)`` over a threshold grid, evaluated as one broadcast array in blocks,
   and refines between the best point's grid neighbours with the same
@@ -74,7 +76,7 @@ class OracleReport:
     ``weights`` is the feasible primal point found (``None`` for the dual
     scan, which produces no primal iterate).  ``alpha`` is only set by the
     dual scan.  ``max_constraint_violation`` is measured on the returned
-    point and should sit at rounding level.
+    point; the ascent's points are feasible exactly, so it reads 0.
     """
 
     value: float
@@ -98,58 +100,36 @@ def _shrink_to_ball_surface(b: np.ndarray, nu: float, p: float) -> np.ndarray:
     """Solve ``x + nu * p * x**(p-1) = b`` coordinatewise for ``x >= 0``.
 
     This is the stationarity condition of the projection at multiplier
-    ``nu``.  Newton iterations run on a convex reformulation so they stay on
-    one side of the root and need no safeguarding.
+    ``nu``.  Newton iterations run on ``g(y) = y**a + c * y**e - b``, with
+    ``x = y**a`` and ``c = nu * p``: ``(a, e) = (1 / (p-1), 1)`` below p = 2
+    and ``(1, p-1)`` above.  One exponent is 1 and the other exceeds 1, so
+    ``g`` is convex and increasing, and from the seed ``min(b**(1/a),
+    (b/c)**(1/e))``, where ``g >= 0``, the iterates stay on one side of the
+    root and need no safeguarding.
     """
     c = nu * p
     if c == 0.0:
         return b.copy()
     x = np.zeros_like(b)
     pos = b > 0
-    if not np.any(pos):
-        return x
     bp = b[pos]
     if p == 2.0:
         x[pos] = bp / (1.0 + c)
         return x
-    if p < 2.0:
-        # Substitute u = x**(p-1); g(u) = u**r + c*u - b with r = 1/(p-1) > 1
-        # is convex and increasing, and both seeds below sit at g >= 0.
-        r = 1.0 / (p - 1.0)
-        u = np.minimum(bp ** (1.0 / r), bp / c)
-        for _ in range(100):
-            ur1 = u ** (r - 1.0)
-            g = ur1 * u + c * u - bp
-            step = g / (r * ur1 + c)
-            u_new = u - step
-            if np.all(step <= 1e-15 * np.maximum(u, 1e-300)):
-                u = u_new
-                break
-            u = u_new
-        x[pos] = u**r
-        return x
-    # p > 2: f(x) = x + c*x**(p-1) - b is convex in x directly.
-    xx = np.minimum(bp, (bp / c) ** (1.0 / (p - 1.0)))
+    # ``g(y) = lead * y**k + linear * y - b``: ``k`` is the exponent above 1
+    # and ``c`` weights the linear term below p = 2, the power term above.
+    a, e = (1.0 / (p - 1.0), 1.0) if p < 2.0 else (1.0, p - 1.0)
+    k, lead, linear = (a, 1.0, c) if p < 2.0 else (e, c, 1.0)
+    y = np.minimum(bp ** (1.0 / a), (bp / c) ** (1.0 / e))
     for _ in range(100):
-        xp2 = xx ** (p - 2.0)
-        f = xx + c * xp2 * xx - bp
-        step = f / (1.0 + c * (p - 1.0) * xp2)
-        xx_new = xx - step
-        if np.all(step <= 1e-15 * np.maximum(xx, 1e-300)):
-            xx = xx_new
+        yk1 = y ** (k - 1.0)
+        step = (lead * yk1 * y + linear * y - bp) / (lead * k * yk1 + linear)
+        done = (step <= 1e-15 * np.maximum(y, 1e-300)).all()
+        y = y - step
+        if done:
             break
-        xx = xx_new
-    x[pos] = xx
+    x[pos] = y**a
     return x
-
-
-def _restore_feasible(x: np.ndarray, params: ResolvedPooling) -> np.ndarray:
-    """Clip to the box and rescale into the ball; cheap exact feasibility."""
-    w = np.clip(x, 0.0, params.tau)
-    norm = stable_qnorm(w, params.p)
-    if norm > params.gamma:
-        w = w * (params.gamma / norm)
-    return w
 
 
 def project_feasible(
@@ -165,28 +145,33 @@ def project_feasible(
     projection (strong duality; the intersection has interior).  The bracket
     shrinks by Illinois steps (false position, halving the value at an end
     that is kept twice in a row), with the midpoint as fallback, down to the
-    relative width ``_BALL_TOL``.  With ``tau = inf`` this is the projection
-    of a non-negative point onto the p-norm ball alone.  ``state`` caches
-    the multiplier across calls for a tight starting bracket.
+    relative width ``_BALL_TOL``.  The result is the candidate at the upper
+    end, where :func:`stable_qnorm` measured the norm at most ``gamma``, so
+    :func:`constraint_violation` reads exactly 0 on it.  With ``tau = inf``
+    this is the projection of a non-negative point onto the p-norm ball
+    alone.  ``state`` caches the multiplier across calls for a tight
+    starting bracket.
     """
     if not (1.0 < params.p < math.inf):
         raise ValueError(f"projection needs finite p > 1, got {params.p!r}")
     v = np.maximum(np.asarray(point, dtype=np.float64), 0.0)
-
-    def candidate(nu: float) -> np.ndarray:
-        return np.minimum(_shrink_to_ball_surface(v, nu, params.p), params.tau)
-
-    w0 = candidate(0.0)
-    excess0 = stable_qnorm(w0, params.p) - params.gamma
-    if excess0 <= 0.0:
-        return w0
+    feasible: np.ndarray  # the candidate at the last multiplier with excess <= 0
 
     def excess(nu: float) -> float:
-        return stable_qnorm(candidate(nu), params.p) - params.gamma
+        """``||clip(shrink(v, nu), 0, tau)||_p - gamma``, the candidate kept if <= 0."""
+        nonlocal feasible
+        w = np.minimum(_shrink_to_ball_surface(v, nu, params.p), params.tau)
+        f = stable_qnorm(w, params.p) - params.gamma
+        if f <= 0.0:
+            feasible = w
+        return f
 
+    lo, f_lo = 0.0, excess(0.0)
+    if f_lo <= 0.0:
+        return feasible
     # Bracket the root, excess > 0 at lo and <= 0 at hi, growing from a
-    # quarter of the cached multiplier.
-    lo, f_lo = 0.0, excess0
+    # quarter of the cached multiplier.  Each excess <= 0 lowers hi, so
+    # ``feasible`` is always the candidate at hi.
     hint = state.get("nu", 0.0) if state is not None else 0.0
     hi = hint / 4.0 if hint > 0.0 else 1.0
     while (f_hi := excess(hi)) > 0.0:
@@ -216,10 +201,9 @@ def project_feasible(
             if kept == -1:
                 f_lo *= 0.5
             kept = -1
-    nu = 0.5 * (lo + hi)
     if state is not None:
-        state["nu"] = nu
-    return candidate(nu)
+        state["nu"] = hi
+    return feasible
 
 
 def constraint_violation(w: np.ndarray, params: ResolvedPooling) -> float:
@@ -243,39 +227,29 @@ def maximize_primal(losses, config: PoolingConfig) -> OracleReport:
     iteration contract hard; this one lands within rounding of the maximiser
     in a handful of iterations.  Stops when the iterate stalls or the value
     stops improving, or after ``_ASCENT_ITERS`` iterations, and reports the
-    best feasible value seen.  Requires finite ``p > 1``.
+    best projection it scored: each is feasible exactly, so the value is a
+    lower bound on the pooled loss.  Requires finite ``p > 1``.
     """
     values = as_loss_vector(losses)
     params = config.resolve(values.size)
     if not (1.0 < params.p < math.inf):
         raise ValueError("maximize_primal needs finite p > 1")
 
+    # All-zero losses give no direction, so the loop only projects.
     norm = float(np.linalg.norm(values))
-    if norm == 0.0:
-        w = np.full(values.size, 1.0 / values.size)
-        return OracleReport(
-            value=0.0,
-            weights=w,
-            iterations=0,
-            converged=True,
-            max_constraint_violation=constraint_violation(w, params),
-        )
-    increment = (_ASCENT_STEP * params.gamma / norm) * values
-
+    increment = (_ASCENT_STEP * params.gamma / norm) * values if norm > 0.0 else values
     w = np.full(values.size, 1.0 / values.size)
-    best_w = _restore_feasible(w, params)
-    best_val = float(best_w @ values)
+    best_w, best_val = w, -math.inf
     state: dict = {}
     converged = False
     stall = 0
     used = 0
     for used in range(1, _ASCENT_ITERS + 1):
         w_new = project_feasible(w + increment, params, state=state)
-        candidate = _restore_feasible(w_new, params)
-        val = float(candidate @ values)
+        val = float(w_new @ values)
         if val > best_val * (1.0 + 1e-12):
             best_val = val
-            best_w = candidate
+            best_w = w_new
             stall = 0
         else:
             stall += 1
@@ -337,12 +311,6 @@ def scan_dual_alpha(losses, config: PoolingConfig) -> OracleReport:
         raise ValueError("scan_dual_alpha needs p > 1 (finite conjugate exponent)")
 
     top = float(values.max())
-    if top == 0.0:
-        return OracleReport(
-            value=0.0, weights=None, iterations=1, converged=True,
-            max_constraint_violation=0.0, alpha=0.0,
-        )
-
     lo, hi = 0.0, top
     value, alpha, evals = math.inf, 0.0, 0
     while evals == 0 or hi - lo > 1e-13 * max(1.0, top):

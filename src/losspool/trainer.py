@@ -406,6 +406,13 @@ def inverse_median_frequency_weights(labels: np.ndarray, num_classes: int) -> np
     return weights
 
 
+def _with_bias(features: np.ndarray) -> np.ndarray:
+    """``features`` with the bias input, a constant 1, appended on the last axis."""
+    inputs = np.ones((*features.shape[:-1], features.shape[-1] + 1))
+    inputs[..., :-1] = features
+    return inputs
+
+
 def _clipped_window(center: int, size: int, limit: int) -> tuple[int, int]:
     start = max(0, center - size // 2)
     return start, min(limit, start + size)
@@ -448,7 +455,6 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     num_classes = dataset.num_classes
-    num_features = dataset.features.shape[-1]
     h, w = dataset.labels.shape[1], dataset.labels.shape[2]
     ch, cw = config.crop_size
     train_idx = np.asarray(dataset.train_indices)
@@ -457,22 +463,20 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
     if config.loss_mode == "lmp":
         check_crop_pooling((h, w), config.crop_size, config.pooling)
 
-    weights = np.zeros((num_features + 1, num_classes))
+    # The training split, built once: its inputs with the bias feature, its labels.
+    inputs = _with_bias(dataset.features[train_idx])
+    train_labels = dataset.labels[train_idx]
+    weights = np.zeros((inputs.shape[-1], num_classes))
     velocity = np.zeros_like(weights)
-    # The training images with the bias feature appended, built once.
-    inputs = np.ones((train_idx.size, h, w, num_features + 1))
-    inputs[..., :-1] = dataset.features[train_idx]
 
     class_weights = None
     if config.loss_mode == "inverse_median_freq":
-        class_weights = inverse_median_frequency_weights(
-            dataset.labels[train_idx], num_classes
-        )
+        class_weights = inverse_median_frequency_weights(train_labels, num_classes)
 
     stats = crop_index = None
     if config.sampler is not None:
         stats = ClassStats(num_classes)
-        crop_index = CropIndex.from_labels(dataset.labels[train_idx])
+        crop_index = CropIndex.from_labels(train_labels)
 
     loss_history: list[float] = []
     for iteration in range(config.iterations):
@@ -485,9 +489,9 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
             else:
                 img, row, col = (int(rng.integers(k)) for k in (train_idx.size, h, w))
             rows, cols = slice(*_clipped_window(row, ch, h)), slice(*_clipped_window(col, cw, w))
-            crops.append(inputs[img, rows, cols].reshape(-1, num_features + 1))
+            crops.append(inputs[img, rows, cols].reshape(-1, inputs.shape[-1]))
             logits.append(crops[-1] @ weights)
-            labels.append(dataset.labels[train_idx[img], rows, cols].reshape(-1))
+            labels.append(train_labels[img, rows, cols].reshape(-1))
             if stats is not None:
                 update_stats(stats, logits[-1].argmax(axis=1), labels[-1])
 
@@ -551,11 +555,9 @@ def evaluate(
     indices = np.asarray(indices)
     if indices.size == 0:
         raise ValueError("cannot evaluate on an empty split")
-    num_features = dataset.features.shape[-1]
-    feats = dataset.features[indices].reshape(-1, num_features)
+    x = _with_bias(dataset.features[indices])
     labels = dataset.labels[indices].reshape(-1)
-    x = np.concatenate([feats, np.ones((feats.shape[0], 1))], axis=1)
-    predictions = np.argmax(x @ weights, axis=1)
+    predictions = np.argmax(x.reshape(-1, x.shape[-1]) @ weights, axis=1)
     iou, covered = confusion_iou(confusion_counts(labels, predictions, dataset.num_classes))
     per_class = np.array(iou)
     return per_class, float(per_class[covered].mean())

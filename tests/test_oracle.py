@@ -157,6 +157,23 @@ class TestFeasibleProjection:
             cold = project_feasible(point, params)
             np.testing.assert_allclose(warm, cold, atol=1e-10)
 
+    @pytest.mark.parametrize("p", [1.1, 1.3, 1.7, 2.0, 3.0, 4.0, 8.0])
+    @pytest.mark.parametrize("capped", [True, False])
+    def test_result_is_feasible_exactly(self, p, capped):
+        """The result is the bracket's feasible end, not a point beside it."""
+        rng = np.random.default_rng(12)
+        state: dict = {}
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            params = PoolingConfig(p=p, m=float(rng.uniform(1.0, n))).resolve(n)
+            if not capped:
+                params = params._replace(tau=math.inf)
+            scale = params.gamma * float(rng.choice([0.01, 0.5, 1.0, 3.0, 1e4]))
+            point = rng.normal(0.3, 1.0, n) * scale
+            assert constraint_violation(project_feasible(point, params), params) == 0.0
+            warm = project_feasible(point, params, state=state)
+            assert constraint_violation(warm, params) == 0.0
+
     def test_rejects_p_one_and_infinity(self):
         with pytest.raises(ValueError):
             project_feasible(np.ones(3), PoolingConfig(p=1.0, m=2.0).resolve(3))
@@ -272,6 +289,21 @@ class TestPrimalAscent:
         report = maximize_primal([0.0, 0.0], PoolingConfig(p=2.0, m=1.0))
         assert report.value == 0.0
         assert report.converged
+
+    def test_reports_a_feasible_point_exactly(self):
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            losses, config = random_instance(rng, max_n=30)
+            report = maximize_primal(losses, config)
+            assert report.max_constraint_violation == 0.0
+            assert report.value == float(report.weights @ losses)
+
+    @pytest.mark.parametrize("p", [1.1, 1.3, 2.0, 4.0])
+    def test_zero_losses_report_a_feasible_point_exactly(self, p):
+        for n, m in ((3, 2.5), (7, 6.2), (40, 39.5)):
+            report = maximize_primal(np.zeros(n), PoolingConfig(p=p, m=m))
+            assert report.value == 0.0
+            assert report.max_constraint_violation == 0.0
 
     def test_converges_fast_with_large_steps(self):
         rng = np.random.default_rng(8)

@@ -40,3 +40,40 @@ def test_every_exported_name_is_defined_by_its_module():
         module = importlib.import_module(name)
         missing += [f"{path.name}: {item}" for item in exports if not hasattr(module, item)]
     assert not missing, missing
+
+
+def unused_private_names(path):
+    """Private top-level names of a source file that nothing else in it loads.
+
+    A private name is one with a leading underscore that is not a dunder.  A
+    load inside the name's own definition, such as a recursive call, does
+    not count as a use.
+    """
+    tree = ast.parse(path.read_text())
+    definitions = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            definitions[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        definitions[name.id] = node
+    unused = []
+    for name, definition in definitions.items():
+        if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+            continue
+        inside = {id(node) for node in ast.walk(definition)}
+        if not any(
+            isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+            and id(node) not in inside
+            for node in ast.walk(tree)
+        ):
+            unused.append(f"{path.name}: {name}")
+    return unused
+
+
+def test_every_private_name_is_used_by_its_own_module():
+    unused = [item for path in sorted(PACKAGE.glob("*.py")) for item in unused_private_names(path)]
+    assert not unused, unused
