@@ -8,9 +8,9 @@ Two independent routes to the pooled value, used to audit
   intersection of the weight box ``[0, tau]^n`` and the p-norm ball of
   radius ``gamma``.  The objective is linear and the set convex and compact,
   so the fixed point of the project-and-step map is a global maximiser.
-  The projection finds its multiplier by a bracketed Illinois step and
-  returns the candidate at the bracket's feasible end, so every point the
-  ascent scores lies in the set exactly.
+  The projection brackets its multiplier from the last one or a closed-form
+  upper end, narrows it by Illinois steps and returns the candidate at the
+  feasible end, so every point the ascent scores lies in the set exactly.
 * :func:`scan_dual_alpha` walks the dual path ``lam(alpha) = max(l - alpha,
   0)`` over a threshold grid, evaluated as one broadcast array in blocks,
   and refines between the best point's grid neighbours with the same
@@ -65,6 +65,7 @@ _ASCENT_STEP = 1.0e4
 # refinement between the last best point's neighbours), and the most grid
 # elements (rows times losses) one block holds; a block has at least one row.
 _SCAN_GRID_SIZE = 65
+_SCAN_STEPS = np.arange(_SCAN_GRID_SIZE, dtype=np.float64)
 _SCAN_BLOCK_ELEMENTS = 2**14
 
 
@@ -100,36 +101,32 @@ def _shrink_to_ball_surface(b: np.ndarray, nu: float, p: float) -> np.ndarray:
     """Solve ``x + nu * p * x**(p-1) = b`` coordinatewise for ``x >= 0``.
 
     This is the stationarity condition of the projection at multiplier
-    ``nu``.  Newton iterations run on ``g(y) = y**a + c * y**e - b``, with
-    ``x = y**a`` and ``c = nu * p``: ``(a, e) = (1 / (p-1), 1)`` below p = 2
-    and ``(1, p-1)`` above.  One exponent is 1 and the other exceeds 1, so
-    ``g`` is convex and increasing, and from the seed ``min(b**(1/a),
-    (b/c)**(1/e))``, where ``g >= 0``, the iterates stay on one side of the
-    root and need no safeguarding.
+    ``nu``.  Newton iterations run on ``g(y) = y**k + c * y - b`` with
+    ``x = y**k``, ``k = 1 / (p-1)`` below p = 2, and on ``g(y) = c * y**k +
+    y - b`` with ``x = y``, ``k = p - 1`` above, where ``c = nu * p``.  As
+    ``k > 1``, ``g`` is convex and increasing, and from the seed where either
+    term alone meets ``b``, whichever is smaller, ``g >= 0``: the iterates
+    stay on one side of the root without safeguarding.  ``b >= 0`` is not
+    masked, since a zero entry seeds at 0 and takes zero Newton steps.
     """
     c = nu * p
     if c == 0.0:
         return b.copy()
-    x = np.zeros_like(b)
-    pos = b > 0
-    bp = b[pos]
     if p == 2.0:
-        x[pos] = bp / (1.0 + c)
-        return x
-    # ``g(y) = lead * y**k + linear * y - b``: ``k`` is the exponent above 1
-    # and ``c`` weights the linear term below p = 2, the power term above.
-    a, e = (1.0 / (p - 1.0), 1.0) if p < 2.0 else (1.0, p - 1.0)
-    k, lead, linear = (a, 1.0, c) if p < 2.0 else (e, c, 1.0)
-    y = np.minimum(bp ** (1.0 / a), (bp / c) ** (1.0 / e))
+        return b / (1.0 + c)
+    k = 1.0 / (p - 1.0) if p < 2.0 else p - 1.0
+    y = np.minimum(b ** (1.0 / k), b / c) if p < 2.0 else np.minimum(b, (b / c) ** (1.0 / k))
     for _ in range(100):
         yk1 = y ** (k - 1.0)
-        step = (lead * yk1 * y + linear * y - bp) / (lead * k * yk1 + linear)
+        if p < 2.0:
+            step = (yk1 * y + c * y - b) / (k * yk1 + c)
+        else:
+            step = (c * yk1 * y + y - b) / (c * k * yk1 + 1.0)
         done = (step <= 1e-15 * np.maximum(y, 1e-300)).all()
         y = y - step
         if done:
             break
-    x[pos] = y**a
-    return x
+    return y**k if p < 2.0 else y
 
 
 def project_feasible(
@@ -139,18 +136,22 @@ def project_feasible(
 
     Dualising only the ball constraint makes the projection separable: for a
     multiplier ``nu`` the box-constrained minimiser per coordinate is
-    ``clip(shrink(v, nu), 0, tau)`` with a scaled-shrinkage map, and the norm
-    of that candidate is monotone in ``nu``.  Narrowing a bracket on ``nu``
-    until the norm meets ``gamma`` therefore yields the exact joint
-    projection (strong duality; the intersection has interior).  The bracket
-    shrinks by Illinois steps (false position, halving the value at an end
-    that is kept twice in a row), with the midpoint as fallback, down to the
-    relative width ``_BALL_TOL``.  The result is the candidate at the upper
-    end, where :func:`stable_qnorm` measured the norm at most ``gamma``, so
-    :func:`constraint_violation` reads exactly 0 on it.  With ``tau = inf``
-    this is the projection of a non-negative point onto the p-norm ball
-    alone.  ``state`` caches the multiplier across calls for a tight
-    starting bracket.
+    ``clip(shrink(v, nu), 0, tau)``, and the norm of that candidate does not
+    increase in ``nu``.  Narrowing a bracket on ``nu`` until the norm meets
+    ``gamma`` yields the exact joint projection (strong duality; the
+    intersection has interior).  The search starts at the multiplier
+    ``state`` caches from the last call, stepping by ``1 + 2**-13``, or else at
+    ``||v||_q / (p * gamma**(p-1))``, the ball-only multiplier of a far point
+    and an upper end, stepping by 4.  An excess > 0 there walks up (by 4 after
+    the first step); otherwise one step down is probed, then ``nu = 0``.  By
+    monotonicity an excess > 0 at any ``nu`` already shows the point outside
+    the set, so ``nu = 0`` is probed only when the search walks down to it.
+    The bracket shrinks by Illinois steps (false position, halving the value
+    at an end kept twice in a row), with the midpoint as fallback, down to
+    the relative width ``_BALL_TOL``.  The result is the candidate at the
+    upper end, where :func:`stable_qnorm` measured the norm at most ``gamma``,
+    so :func:`constraint_violation` reads exactly 0 on it.  With ``tau = inf``
+    this is the projection of a non-negative point onto the p-norm ball alone.
     """
     if not (1.0 < params.p < math.inf):
         raise ValueError(f"projection needs finite p > 1, got {params.p!r}")
@@ -166,17 +167,24 @@ def project_feasible(
             feasible = w
         return f
 
-    lo, f_lo = 0.0, excess(0.0)
-    if f_lo <= 0.0:
-        return feasible
-    # Bracket the root, excess > 0 at lo and <= 0 at hi, growing from a
-    # quarter of the cached multiplier.  Each excess <= 0 lowers hi, so
-    # ``feasible`` is always the candidate at hi.
-    hint = state.get("nu", 0.0) if state is not None else 0.0
-    hi = hint / 4.0 if hint > 0.0 else 1.0
-    while (f_hi := excess(hi)) > 0.0:
-        lo, f_lo = hi, f_hi
-        hi *= 4.0
+    # Bracket the root, excess > 0 at lo and <= 0 at hi.  Each excess <= 0
+    # lowers hi, so ``feasible`` is always the candidate at hi.
+    nu0, ratio = (state or {}).get("nu", 0.0), 1.0 + 2.0**-13
+    if not nu0 > 0.0:
+        # ``gamma**(p-1)`` underflows to 0 at large p; start at 1 then.
+        ball, ratio = params.p * params.gamma ** (params.p - 1.0), 4.0
+        nu0 = stable_qnorm(v, params.q) / ball if ball > 0.0 else 1.0
+    nu0 = nu0 if 0.0 < nu0 < math.inf else 1.0
+    if (f := excess(nu0)) > 0.0:
+        lo, f_lo, hi = nu0, f, nu0 * ratio
+        while (f_hi := excess(hi)) > 0.0:
+            lo, f_lo, hi = hi, f_hi, hi * 4.0
+    else:
+        hi, f_hi, lo = nu0, f, nu0 / ratio
+        if (f_lo := excess(lo)) <= 0.0:
+            hi, f_hi, lo = lo, f_lo, 0.0
+            if (f_lo := excess(0.0)) <= 0.0:
+                return feasible
     # ``kept`` is the side (1 = lo, -1 = hi) the last step moved.  A step
     # stays half the stop width inside either end, so a step that lands next
     # to the root closes the bracket on the next evaluation; an exact zero of
@@ -236,7 +244,7 @@ def maximize_primal(losses, config: PoolingConfig) -> OracleReport:
         raise ValueError("maximize_primal needs finite p > 1")
 
     # All-zero losses give no direction, so the loop only projects.
-    norm = float(np.linalg.norm(values))
+    norm = stable_qnorm(values, 2.0)
     increment = (_ASCENT_STEP * params.gamma / norm) * values if norm > 0.0 else values
     w = np.full(values.size, 1.0 / values.size)
     best_w, best_val = w, -math.inf
@@ -314,7 +322,9 @@ def scan_dual_alpha(losses, config: PoolingConfig) -> OracleReport:
     lo, hi = 0.0, top
     value, alpha, evals = math.inf, 0.0, 0
     while evals == 0 or hi - lo > 1e-13 * max(1.0, top):
-        alphas = np.linspace(lo, hi, _SCAN_GRID_SIZE)
+        # The formula of ``np.linspace(lo, hi, _SCAN_GRID_SIZE)``, without its call overhead.
+        alphas = _SCAN_STEPS * ((hi - lo) / (_SCAN_GRID_SIZE - 1)) + lo
+        alphas[-1] = hi
         gvals = _dual_path_grid(alphas, values, params)
         evals += _SCAN_GRID_SIZE
         k = int(np.argmin(gvals))
@@ -400,8 +410,8 @@ class AuditSummary:
 
 
 def rel_err(a: float, b: float) -> float:
-    """|a - b| over a floor-guarded magnitude."""
-    return abs(a - b) / max(abs(a), abs(b), 1e-12)
+    """|a - b| over the larger magnitude; equal values agree, a NaN never does."""
+    return 0.0 if a == b else abs(a - b) / float(np.maximum(abs(a), abs(b)))
 
 
 def run_audit(

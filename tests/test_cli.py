@@ -621,7 +621,7 @@ class TestOracleAuditCommand:
             b'  "kkt_tol": 9.9999999999999995e-07,\n'
             b'  "all_passed": true,\n'
             b'  "worst": {\n'
-            b'    "ascent_rel_err": 1.0377275570815492e-14,\n'
+            b'    "ascent_rel_err": 7.0067933271985695e-13,\n'
             b'    "scan_rel_err": 3.9752911157142062e-16,\n'
             b'    "kkt_residual": 1.1102230246251565e-16,\n'
             b'    "constraint_violation": 0\n'
@@ -645,9 +645,9 @@ class TestOracleAuditCommand:
             b'    "p": 1.3,\n'
             b'    "m": 2.1797895930485849,\n'
             b'    "solver_value": 3.1239906946507912,\n'
-            b'    "ascent_value": 3.1239906946507587,\n'
+            b'    "ascent_value": 3.1239906946486022,\n'
             b'    "scan_value": 3.1239906946507903,\n'
-            b'    "ascent_rel_err": 1.0377275570815492e-14,\n'
+            b'    "ascent_rel_err": 7.0067933271985695e-13,\n'
             b'    "scan_rel_err": 2.8430891974836962e-16,\n'
             b'    "kkt_residual": 0,\n'
             b'    "constraint_violation": 0,\n'

@@ -316,6 +316,46 @@ class TestPrimalAscent:
         with pytest.raises(ValueError):
             maximize_primal([1.0, 2.0], PoolingConfig(p=1.0, m=1.0))
 
+    def test_value_scales_exactly_with_the_losses(self):
+        """The step is scale-free: ``2**k`` times the losses, ``2**k`` times the value.
+
+        The unscaled vector times 1e-170 made a step from a Euclidean norm
+        that underflowed to 0, and times 1e300 one that overflowed.
+        """
+        losses, config = np.array([3.0, 1.0, 2.0, 0.5]), PoolingConfig(p=1.3, m=2.0)
+        base = maximize_primal(losses, config).value
+        for k in (-1000, -600, 0, 600, 1000):
+            scaled = math.ldexp(1.0, k) * losses
+            report = maximize_primal(scaled, config)
+            assert report.converged
+            assert report.value == math.ldexp(base, k)
+            assert rel_err(solve_pool(scaled, config).pooled_loss, report.value) <= 1e-12
+
+    @pytest.mark.parametrize("p", [200.0, 1.0e6])
+    def test_large_p_meets_the_solver(self, p):
+        """At p = 1e6 the cold start's ``gamma**(p-1)`` underflows to 0."""
+        losses, config = np.array([1.0, 1.0, 1.0]), PoolingConfig(p=p, m=3.0)
+        report = maximize_primal(losses, config)
+        assert report.converged
+        assert rel_err(solve_pool(losses, config).pooled_loss, report.value) <= 1e-12
+
+    def test_needs_at_most_24_shrink_calls_per_instance(self, monkeypatch):
+        """Each projection starts next to its multiplier, not at ``nu = 0``."""
+        calls = [0]
+        shrink = losspool.oracle._shrink_to_ball_surface
+
+        def counted(b, nu, p):
+            calls[0] += 1
+            return shrink(b, nu, p)
+
+        rng = np.random.default_rng(3)
+        cases = [random_instance(rng) for _ in range(300)]
+        monkeypatch.setattr(losspool.oracle, "_shrink_to_ball_surface", counted)
+        for losses, config in cases:
+            maximize_primal(losses, config)
+        # About 21.8; a cold start from nu = 1 with a probe at 0 made 34.3.
+        assert calls[0] <= 24 * len(cases)
+
 
 class TestDualScan:
     def test_worked_example(self):
@@ -457,6 +497,12 @@ class TestAudit:
         worst = summary.worst
         assert max(worst["ascent_rel_err"], worst["scan_rel_err"]) < 1e-8
         assert len(summary.rows) == 25
+
+    def test_rel_err_has_no_floor(self):
+        """Two zeros agree; tiny values are compared relatively, not absolutely."""
+        assert rel_err(0.0, 0.0) == 0.0
+        assert rel_err(1.625e-170, 2.1405e-170) == pytest.approx(0.2408, abs=1e-4)
+        assert math.isnan(rel_err(0.0, math.nan))
 
     def test_audit_is_reproducible(self):
         a = run_audit(instances=10, seed=7)

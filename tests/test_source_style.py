@@ -77,3 +77,18 @@ def unused_private_names(path):
 def test_every_private_name_is_used_by_its_own_module():
     unused = [item for path in sorted(PACKAGE.glob("*.py")) for item in unused_private_names(path)]
     assert not unused, unused
+
+
+def test_oracle_takes_norms_only_through_stable_qnorm():
+    """``np.linalg.norm`` under- and overflows where the scaled q-norm does not."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    calls = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "norm"
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+    ]
+    imports = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+    ]
+    assert not calls + imports, calls + imports
