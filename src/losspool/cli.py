@@ -87,6 +87,10 @@ def _f9(x) -> str:
 # entry of the array.
 _ARRAY_CHUNK = 4096
 
+# Characters per piece when a loss file is parsed: only one piece's lines or
+# items are Python objects at a time, not one for every loss in the file.
+_TEXT_CHUNK = 1 << 16
+
 
 def _format_each(values):
     """Return an iterable over the text of each entry of a 1-D numeric array.
@@ -171,6 +175,36 @@ def _is_number(line: str) -> bool:
     return True
 
 
+def _cuts(text: str, sep: str, start: int = 0):
+    """Yield the bounds of pieces of ``text[start:]``, each cut just after the
+    first ``sep`` at least ``_TEXT_CHUNK`` characters in; the last runs to the end."""
+    while end := text.find(sep, start + _TEXT_CHUNK) + 1:
+        yield start, end
+        start = end
+    yield start, len(text)
+
+
+def _json_numbers(body: str):
+    """The values of ``body``, a flat JSON array of numbers, else None.
+
+    The text between cut commas parses as an array of its own.  When each
+    is a non-empty array of ints and floats, they and the commas between
+    them are the whole array's text; anything else (a string, a bool, null,
+    a nested array, a cut in a string, an int beyond float64) gives None.
+    """
+    parts = []
+    for start, end in _cuts(body, ",", 1):
+        piece = body[start:end] if end == len(body) else body[start:end - 1] + "]"
+        try:
+            items = json.loads("[" + piece)
+            if not items or not set(map(type, items)) <= {int, float}:
+                return None
+            parts.append(np.array(items, dtype=np.float64))
+        except (json.JSONDecodeError, OverflowError):
+            return None
+    return np.concatenate(parts)
+
+
 def read_losses(path) -> np.ndarray:
     """Load a loss vector from CSV (one value per line) or a JSON array.
 
@@ -178,46 +212,52 @@ def read_losses(path) -> np.ndarray:
     when it is not a number; a numeric first line is a loss.  Any later line
     that is not a number is an error naming its line number in the file,
     blank lines counted.  Values take every spelling ``float`` accepts.
+
+    The text is parsed in pieces cut after a newline (CSV) or a comma (JSON),
+    holding no Python object per loss, with the values and errors of a whole parse.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputDataError(f"cannot read losses file {path}: {exc}") from exc
-    stripped = text.strip()
-    if not stripped:
+    if not text or text.isspace():
         raise InputDataError(f"losses file {path} is empty")
-    if stripped.startswith("["):
+    body = text.lstrip()  # the text itself when nothing is stripped
+    if not body.startswith("["):
+        parts, header = [], True
         try:
-            values = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise InputDataError(f"losses file {path}: invalid JSON: {exc}") from exc
-        if not isinstance(values, list):
-            raise InputDataError(f"losses file {path}: expected a JSON array")
-        # One pass over the types, not a check per element; bool is its own
-        # type, so true/false are rejected along with strings and null.
-        if not set(map(type, values)) <= {int, float}:
-            index, bad = next(
-                (i, v) for i, v in enumerate(values) if type(v) not in (int, float)
-            )
-            raise InputDataError(
-                f"losses file {path}: element {index} is not a number: "
-                f"{json.dumps(bad)}"
-            )
-    else:
-        lines = text.splitlines()
-        body = list(filter(str.strip, lines))  # the non-blank lines
-        if not _is_number(body[0]):
-            del body[0]  # the header
-        try:
-            # numpy converts each str with float(), padding and all.
-            values = np.array(body, dtype=np.float64)
+            for start, end in _cuts(text, "\n"):
+                rows = list(filter(str.strip, text[start:end].splitlines()))  # non-blank
+                if header and rows:
+                    header = False
+                    if not _is_number(rows[0]):
+                        del rows[0]  # the header
+                # numpy converts each str with float(), padding and all.
+                parts.append(np.array(rows, dtype=np.float64))
         except ValueError:
             # Name the first line past the first non-blank one that fails.
+            lines = text.splitlines()
             filled = [(n, line.strip()) for n, line in enumerate(lines, start=1) if line.strip()]
             lineno, line = next((n, line) for n, line in filled[1:] if not _is_number(line))
             raise InputDataError(
                 f"losses file {path}, line {lineno}: not a number: {line!r}"
             ) from None
+        values = np.concatenate(parts)
+    elif (values := _json_numbers(body)) is None:
+        # Not a flat array of numbers: parse it whole, for the exact error.
+        try:
+            values = json.loads(text.strip())
+        except json.JSONDecodeError as exc:
+            raise InputDataError(f"losses file {path}: invalid JSON: {exc}") from exc
+        if not isinstance(values, list):
+            raise InputDataError(f"losses file {path}: expected a JSON array")
+        # bool is its own type, so true/false are rejected with strings and null.
+        for index, item in enumerate(values):
+            if type(item) not in (int, float):
+                raise InputDataError(
+                    f"losses file {path}: element {index} is not a number: "
+                    f"{json.dumps(item)}"
+                )
     try:
         return as_loss_vector(values)
     except (ValueError, OverflowError) as exc:
@@ -413,6 +453,8 @@ _CURVES_OPTIONS = {
 
 
 def cmd_weight_curves(options: dict) -> int:
+    """Write the weight columns ``_ARRAY_CHUNK`` rows at a time through one
+    open file, so only one chunk's cell strings are alive at a time."""
     n = options["n"]
     # Jittered exponential quantiles: a long-tailed, strictly increasing
     # loss profile whose shape is stable across seeds, so the curve
@@ -428,11 +470,13 @@ def cmd_weight_curves(options: dict) -> int:
 
     out_path = _output_path(options, "weight_curves.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    header = ["pixel_rank", "loss"] + [name for name, _ in columns]
-    cells = [map(str, range(1, n + 1)), _format_each(losses)]
-    cells += [_format_each(weights) for _, weights in columns]
-    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
-    out_path.write_text("\n".join(lines) + "\n")
+    with out_path.open("w") as out:
+        out.write(",".join(["pixel_rank", "loss"] + [name for name, _ in columns]) + "\n")
+        for start in range(0, n, _ARRAY_CHUNK):
+            stop = min(start + _ARRAY_CHUNK, n)
+            cells = [map(str, range(start + 1, stop + 1)), _format_each(losses[start:stop])]
+            cells += [_format_each(weights[start:stop]) for _, weights in columns]
+            out.writelines(",".join(row) + "\n" for row in zip(*cells))
     _say(f"wrote {len(columns)} weight curves over {n} losses to {out_path}")
     return EXIT_OK
 

@@ -305,7 +305,9 @@ def scan_dual_alpha(losses, config: PoolingConfig) -> OracleReport:
 
     Evaluates :func:`_dual_path_grid` on ``_SCAN_GRID_SIZE`` points over
     ``[0, max(l)]``, then as many between the two grid neighbours of the
-    smallest value, until they lie closer than ``1e-13 * max(1, max(l))``.
+    smallest value, until they lie closer than ``1e-13 * max(l)``, so 2**k times
+    the losses take the same steps (or, below max(l) = 3e-309, than a width
+    of ``_SCAN_GRID_SIZE`` subnormals, so that each refinement still narrows).
     The slope is ``|J_alpha| * (gamma * (alpha / ||min(l, alpha)||_q)**(q-1)
     - tau)`` with ``J_alpha = {u : l(u) > alpha}``, and its bracket never
     decreases in alpha: the objective falls, then rises, so each refinement
@@ -321,7 +323,8 @@ def scan_dual_alpha(losses, config: PoolingConfig) -> OracleReport:
     top = float(values.max())
     lo, hi = 0.0, top
     value, alpha, evals = math.inf, 0.0, 0
-    while evals == 0 or hi - lo > 1e-13 * max(1.0, top):
+    width = max(1e-13 * top, _SCAN_GRID_SIZE * math.ulp(0.0))
+    while evals == 0 or hi - lo > width:
         # The formula of ``np.linspace(lo, hi, _SCAN_GRID_SIZE)``, without its call overhead.
         alphas = _SCAN_STEPS * ((hi - lo) / (_SCAN_GRID_SIZE - 1)) + lo
         alphas[-1] = hi

@@ -234,9 +234,12 @@ def solve_pool(losses, config: PoolingConfig, sizes=None) -> SolveOutcome:
     # boundary and the weights exactly uniform.
     mean = (s[..., -1:] > 0) & (math.isinf(config.p) | (m == n))
     weights, in_support = np.empty(padded.size), np.empty(padded.size, dtype=bool)
-    weights[order] = np.where(capped | mean, tau, shrunk)
+    np.copyto(shrunk, tau, where=capped | mean)
+    weights[order] = shrunk
     in_support[order] = capped
-    dual = np.maximum(padded - alpha, 0.0).ravel()
+    del order, shrunk
+    dual = padded - alpha
+    dual = np.maximum(dual, 0.0, out=dual).ravel()
     if keep is not None:
         weights, in_support, dual = weights[keep], in_support[keep], dual[keep]
     support = np.flatnonzero(in_support)
@@ -305,23 +308,29 @@ def _solve_threshold_scan(s, n, m, q, tau):
         # the losses, and alpha = top * exp(...) overflows to inf without an
         # error.
         top = s[..., -1:]
-        log_s = np.log(s) - _each(lambda t: math.log(t) if t > 0 else 0.0, top)
+        log_s = np.log(s)
+        log_s -= _each(lambda t: math.log(t) if t > 0 else 0.0, top)
         log_powers = q * log_s
         log_prefix = np.logaddexp.accumulate(log_powers, axis=-1)
         counts = (m - n) + (np.arange(1, N + 1) - (N - n))
-        # A c_k <= 0 never passes, as A_k / s_k**q >= 1.
-        hits = counts > np.exp(log_prefix - log_powers)
+        # A c_k <= 0 never passes, as A_k / s_k**q >= 1.  The ratios
+        # A_k / s_k**q go into log_powers' buffer, the weights into log_s'.
+        hits = counts > np.exp(np.subtract(log_prefix, log_powers, out=log_powers), out=log_powers)
         stop = np.where(hits.any(axis=-1, keepdims=True), hits.argmax(axis=-1, keepdims=True), N)
         rest = m - (N - stop)  # m - |support| > 0
         log_a = np.where(stop > 0, log_prefix.ravel()[_row_starts(s) + stop - 1], -np.inf)
+        del log_prefix, hits
         log_alpha = (log_a - _each(math.log, rest)) / q
         ratio = _each(math.exp, log_alpha)  # alpha / top
-        shrunk = tau * np.exp((q - 1.0) * (log_s - log_alpha))
+        log_s -= log_alpha
+        log_s *= q - 1.0
+        shrunk = np.multiply(np.exp(log_s, out=log_s), tau, out=log_s)
+        shrunk[s <= 0] = 0.0
         # alpha may pass the float64 maximum and become inf; the pooled share
         # tau * rest * alpha is at most the largest loss, and multiplying by
         # top last keeps it finite.
         alpha, below = ratio * top, tau * rest * ratio * top
-    return stop, alpha, below, np.where(s > 0, shrunk, 0.0)
+    return stop, alpha, below, shrunk
 
 
 def _solve_hard_top(s, n, m, q, tau):

@@ -1,10 +1,14 @@
 """Helpers shared by the test modules (not collected as tests)."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 from losspool import oracle
+from losspool.cli import InputDataError, _is_number
+from losspool.solver import as_loss_vector
 
 
 def eta(alpha, losses, q, m):
@@ -238,3 +242,49 @@ def train_per_crop(dataset, config):
         weights = weights + velocity
         loss_history.append(step_loss)
     return loss_history, weights
+
+
+def read_losses_whole(path):
+    """:func:`losspool.cli.read_losses` on the whole text at once.
+
+    The reference for the piecewise parser: one ``json.loads`` of the
+    stripped text, or one ``splitlines`` and one numpy conversion of every
+    non-blank line, with the same values and messages.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise InputDataError(f"cannot read losses file {path}: {exc}") from exc
+    stripped = text.strip()
+    if not stripped:
+        raise InputDataError(f"losses file {path} is empty")
+    if stripped.startswith("["):
+        try:
+            values = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise InputDataError(f"losses file {path}: invalid JSON: {exc}") from exc
+        if not isinstance(values, list):
+            raise InputDataError(f"losses file {path}: expected a JSON array")
+        for index, value in enumerate(values):
+            if type(value) not in (int, float):
+                raise InputDataError(
+                    f"losses file {path}: element {index} is not a number: "
+                    f"{json.dumps(value)}"
+                )
+    else:
+        lines = text.splitlines()
+        body = list(filter(str.strip, lines))
+        if not _is_number(body[0]):
+            del body[0]
+        try:
+            values = np.array(body, dtype=np.float64)
+        except ValueError:
+            filled = [(n, line.strip()) for n, line in enumerate(lines, start=1) if line.strip()]
+            lineno, line = next((n, line) for n, line in filled[1:] if not _is_number(line))
+            raise InputDataError(
+                f"losses file {path}, line {lineno}: not a number: {line!r}"
+            ) from None
+    try:
+        return as_loss_vector(values)
+    except (ValueError, OverflowError) as exc:
+        raise InputDataError(f"losses file {path}: {exc}") from exc

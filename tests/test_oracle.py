@@ -442,6 +442,35 @@ class TestOracleAgreement:
             assert ascent.value <= scan.value * (1.0 + 1e-9) + 1e-15
 
 
+class TestScale:
+    @pytest.mark.parametrize("k", [-1000, -600, -60, -40, 60, 600])
+    def test_both_oracles_scale_exactly_over_audit_draws(self, k):
+        """``2**k`` times the losses give ``2**k`` times each oracle's value.
+
+        A scan stop width absolute below max l = 1 left the scan up to 1e-3
+        off at k <= -60.  Draws with a positive loss that would scale to a
+        subnormal are skipped.
+        """
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            losses, config = random_instance(rng)
+            scaled = np.ldexp(losses, k)
+            if (scaled[losses > 0] < np.finfo(np.float64).tiny).any():
+                continue
+            for oracle in (scan_dual_alpha, maximize_primal):
+                expected = math.ldexp(oracle(losses, config).value, k)
+                assert oracle(scaled, config).value == expected
+
+    def test_subnormal_losses_end_the_scan(self):
+        """A relative stop width alone would loop once the grid step
+        underflows; the subnormal floor ends the scan near the solver."""
+        config = PoolingConfig(p=1.3, m=2.0)
+        for scale in (1e-310, 1e-318, 5e-324):
+            losses = np.array([3.0, 1.0, 2.0, 0.5]) * scale
+            report = scan_dual_alpha(losses, config)
+            assert rel_err(solve_pool(losses, config).pooled_loss, report.value) <= 1e-5
+
+
 class TestKkt:
     def test_optimal_dual_passes(self):
         losses = np.array([3.0, 1.0]) / 3.0
