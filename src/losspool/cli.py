@@ -190,7 +190,8 @@ def _json_numbers(body: str):
     The text between cut commas parses as an array of its own.  When each
     is a non-empty array of ints and floats, they and the commas between
     them are the whole array's text; anything else (a string, a bool, null,
-    a nested array, a cut in a string, an int beyond float64) gives None.
+    a nested array, a cut in a string, an int beyond float64 or beyond
+    Python's digit limit) gives None.
     """
     parts = []
     for start, end in _cuts(body, ",", 1):
@@ -200,7 +201,7 @@ def _json_numbers(body: str):
             if not items or not set(map(type, items)) <= {int, float}:
                 return None
             parts.append(np.array(items, dtype=np.float64))
-        except (json.JSONDecodeError, OverflowError):
+        except (ValueError, OverflowError):  # JSONDecodeError is a ValueError
             return None
     return np.concatenate(parts)
 
@@ -247,7 +248,7 @@ def read_losses(path) -> np.ndarray:
         # Not a flat array of numbers: parse it whole, for the exact error.
         try:
             values = json.loads(text.strip())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int past Python's digit limit
             raise InputDataError(f"losses file {path}: invalid JSON: {exc}") from exc
         if not isinstance(values, list):
             raise InputDataError(f"losses file {path}: expected a JSON array")

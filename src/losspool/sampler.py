@@ -10,9 +10,10 @@ chosen class to a concrete (image, row, column) anchor.
 Classes never observed as ground truth are treated as having IoU 1, so the
 bias never chases classes the data does not contain.
 
-The per-crop state is updated on Python floats, not on arrays of a handful
-of numbers: the IoU, the draw distribution and the class draw add in
-numpy's reduction order, so they give the bits the array code would.
+The per-crop state is a handful of Python floats, not arrays: every sum in
+the IoU, the draw distribution and the class draw adds left to right.  That
+order is the sampler's own; below 8 classes it is also numpy's, so there it
+gives the bits of array code.
 """
 
 from __future__ import annotations
@@ -52,17 +53,18 @@ class ClassStats:
     """
 
     num_classes: int
-    confusion: np.ndarray = field(init=False)
-    iou: np.ndarray = field(init=False)
-    present: np.ndarray = field(init=False)
+    confusion: list[list[float]] = field(init=False)
+    iou: list[float] = field(init=False)
+    present: list[bool] = field(init=False)
     iou_history: list[list[float]] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise ValueError(f"need at least 2 classes, got {self.num_classes}")
-        self.confusion = np.zeros((self.num_classes, self.num_classes))
-        self.iou = np.ones(self.num_classes)
-        self.present = np.zeros(self.num_classes, dtype=bool)
+        k = self.num_classes
+        if k < 2:
+            raise ValueError(f"need at least 2 classes, got {k}")
+        self.confusion = [[0.0] * k for _ in range(k)]
+        self.iou = [1.0] * k
+        self.present = [False] * k
 
 
 def confusion_counts(labels, predictions, num_classes: int) -> np.ndarray:
@@ -87,45 +89,17 @@ def _sequential_sum(values):
     return total
 
 
-def _numpy_sum(values):
-    """The sum ``np.sum`` gives over a contiguous vector, in its order.
-
-    Below 8 terms that is sequential; up to 128, eight interleaved partial
-    sums joined pairwise, then the tail; beyond, the two halves apart (the
-    first a multiple of 8 long).
-    """
-    n = len(values)
-    if n < 8:
-        return _sequential_sum(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
-    body = n - n % 8
-    lanes = list(values[:8])
-    for start in range(8, body, 8):
-        for lane in range(8):
-            lanes[lane] += values[start + lane]
-    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
-        (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
-    )
-    for value in values[body:]:
-        total += value
-    return total
-
-
-def confusion_iou(confusion) -> tuple[list[float], list[bool]]:
+def confusion_iou(confusion: list[list[float]]) -> tuple[list[float], list[bool]]:
     """Per-class TP / (TP + FP + FN) of a confusion matrix (rows = true class).
 
     Also returns which classes have a non-empty union; the others read 1.
-    Takes the matrix or its ``tolist()`` and works on its Python numbers,
-    summing rows like ``sum(axis=1)`` and columns like ``sum(axis=0)``
-    (sequentially), so float counts give numpy's bits.
+    Takes the matrix as a list of rows of Python numbers and sums each row
+    and each column left to right.
     """
-    rows = confusion.tolist() if isinstance(confusion, np.ndarray) else confusion
     iou, seen = [], []
-    for k, (row, column) in enumerate(zip(rows, zip(*rows))):
+    for k, (row, column) in enumerate(zip(confusion, zip(*confusion))):
         tp = row[k]
-        union = tp + (_sequential_sum(column) - tp) + (_numpy_sum(row) - tp)
+        union = tp + (_sequential_sum(column) - tp) + (_sequential_sum(row) - tp)
         iou.append(tp / union if union > 0 else 1.0)
         seen.append(union > 0)
     return iou, seen
@@ -142,16 +116,16 @@ def update_stats(stats: ClassStats, predictions, labels) -> ClassStats:
     labels = np.asarray(labels).reshape(-1)
     if predictions.shape != labels.shape:
         raise ValueError("predictions and labels must have equal length")
-    counts = confusion_counts(labels, predictions, stats.num_classes)
+    counts = confusion_counts(labels, predictions, stats.num_classes).tolist()
 
-    stats.confusion *= DECAY
-    stats.confusion += counts
-    rows = stats.confusion.tolist()
-    iou = confusion_iou(rows)[0]
-    stats.iou = np.array(iou)
+    stats.confusion = [
+        [c * DECAY + n for c, n in zip(row, added)]
+        for row, added in zip(stats.confusion, counts)
+    ]
+    stats.iou = confusion_iou(stats.confusion)[0]
     # The counts are non-negative: a row sums above 0 when any entry does.
-    stats.present = np.array([any(row) for row in rows])
-    stats.iou_history.append(iou)
+    stats.present = [any(row) for row in stats.confusion]
+    stats.iou_history.append(stats.iou)
     return stats
 
 
@@ -173,26 +147,23 @@ class SamplerConfig:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
 
 
-def class_distribution(stats: ClassStats, config: SamplerConfig) -> np.ndarray:
+def class_distribution(stats: ClassStats, config: SamplerConfig) -> list[float]:
     """The analytic class-draw distribution the sampler realises.
 
     blend * uniform + (1 - blend) * normalized(1 - iou + epsilon), both
     components restricted to classes present in the data.  Before anything
     has been observed every class counts as present.
     """
-    present = stats.present.tolist()
-    if not any(present):
-        present = [True] * stats.num_classes
+    present = stats.present if any(stats.present) else [True] * stats.num_classes
     share = 1.0 / present.count(True)
     inverse = [
-        1.0 - iou + config.epsilon if seen else 0.0
-        for iou, seen in zip(stats.iou.tolist(), present)
+        1.0 - iou + config.epsilon if seen else 0.0 for iou, seen in zip(stats.iou, present)
     ]
-    total = _numpy_sum(inverse)
-    return np.array([
+    total = _sequential_sum(inverse)
+    return [
         config.blend * (share if seen else 0.0) + (1.0 - config.blend) * (weight / total)
         for weight, seen in zip(inverse, present)
-    ])
+    ]
 
 
 # How far from 1 ``Generator.choice`` lets its probabilities sum.
@@ -209,7 +180,7 @@ def sample_class(
     id is the count of entries at or below the draw.  Like ``choice``, a NaN, a
     negative entry or a sum off 1 by more than sqrt(eps) raises ``ValueError``.
     """
-    p = class_distribution(stats, config).tolist()
+    p = class_distribution(stats, config)
     cdf = list(accumulate(p))  # p.cumsum(): sequential
     total = cdf[-1]
     if math.isnan(total):

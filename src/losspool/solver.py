@@ -312,7 +312,9 @@ def _solve_threshold_scan(s, n, m, q, tau):
         log_s -= _each(lambda t: math.log(t) if t > 0 else 0.0, top)
         log_powers = q * log_s
         log_prefix = np.logaddexp.accumulate(log_powers, axis=-1)
-        counts = (m - n) + (np.arange(1, N + 1) - (N - n))
+        # c_k in one float buffer: each integer is exact, then one add.
+        counts = np.arange(1.0, N + 1.0) - (N - n)
+        counts += m - n
         # A c_k <= 0 never passes, as A_k / s_k**q >= 1.  The ratios
         # A_k / s_k**q go into log_powers' buffer, the weights into log_s'.
         hits = counts > np.exp(np.subtract(log_prefix, log_powers, out=log_powers), out=log_powers)

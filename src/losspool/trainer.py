@@ -558,7 +558,8 @@ def evaluate(
     x = _with_bias(dataset.features[indices])
     labels = dataset.labels[indices].reshape(-1)
     predictions = np.argmax(x.reshape(-1, x.shape[-1]) @ weights, axis=1)
-    iou, covered = confusion_iou(confusion_counts(labels, predictions, dataset.num_classes))
+    counts = confusion_counts(labels, predictions, dataset.num_classes).tolist()
+    iou, covered = confusion_iou(counts)
     per_class = np.array(iou)
     return per_class, float(per_class[covered].mean())
 

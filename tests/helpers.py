@@ -141,7 +141,8 @@ def dual_path_value(alpha, values, params):
 
 def confusion_iou_numpy(confusion):
     """The IoU of a confusion matrix on numpy arrays: the reference for
-    :func:`losspool.sampler.confusion_iou`, which adds in the same order."""
+    :func:`losspool.sampler.confusion_iou`, which adds rows and columns left
+    to right, numpy's order below 8 classes."""
     tp = np.diag(confusion)
     fp = confusion.sum(axis=0) - tp
     fn = confusion.sum(axis=1) - tp
@@ -155,12 +156,12 @@ def confusion_iou_numpy(confusion):
 def class_distribution_numpy(stats, config):
     """The class-draw distribution on numpy arrays: the reference for
     :func:`losspool.sampler.class_distribution`."""
-    present = stats.present
+    present = np.array(stats.present)
     if not np.any(present):
         present = np.ones(stats.num_classes, dtype=bool)
     uniform = present / np.count_nonzero(present)
 
-    inverse = np.where(present, 1.0 - stats.iou + config.epsilon, 0.0)
+    inverse = np.where(present, 1.0 - np.array(stats.iou) + config.epsilon, 0.0)
     inverse = inverse / inverse.sum()
     return config.blend * uniform + (1.0 - config.blend) * inverse
 

@@ -359,7 +359,7 @@ def test_criterion_9_sampler_distribution():
     update_stats(stats, preds, labels)  # iou exactly [1.0, 0.5, 0.25]
 
     config = SamplerConfig(blend=0.5, epsilon=0.01)
-    expected = class_distribution(stats, config)
+    expected = np.array(class_distribution(stats, config))
     rng = np.random.default_rng(9)
     draws = 100_000
     counts = np.zeros(3)

@@ -103,6 +103,17 @@ class TestReadLosses:
         with pytest.raises(InputDataError, match=f"line {lineno}: not a number: 'x'"):
             read_losses(path)
 
+    @pytest.mark.parametrize(
+        "text", ["[1" + "0" * 5000 + "]", "[0.5, 1" + "0" * 5000 + "]"], ids=["alone", "second"]
+    )
+    def test_int_past_the_digit_limit_exits_2(self, tmp_path, capsys, text):
+        # Python's default limit is 4,300 digits; json.loads then raises a
+        # plain ValueError, not a JSONDecodeError.
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        assert main(["solve", "--losses", str(path), "--p", "2", "--m", "1"]) == 2
+        assert f"losses file {path}: " in capsys.readouterr().err
+
     def test_csv_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("loss\n1.5\n\n\n2.5\nx\n")

@@ -92,3 +92,14 @@ def test_oracle_takes_norms_only_through_stable_qnorm():
         if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
     ]
     assert not calls + imports, calls + imports
+
+
+def test_sampler_makes_no_call_to_builtin_sum():
+    """From Python 3.12 ``sum`` compensates float sums, so the sampler's bits
+    would depend on the interpreter; it adds with its own left-to-right loop."""
+    tree = ast.parse((PACKAGE / "sampler.py").read_text())
+    calls = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+    assert not calls, calls

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from helpers import train_per_crop
 
+from losspool.pixel_losses import SegBatch, softmax_xent
 from losspool.sampler import SamplerConfig
-from losspool.solver import PoolingConfig
+from losspool.solver import PoolingConfig, solve_pool
 from losspool.trainer import (
     LOSS_MODES,
     SyntheticDataset,
@@ -24,6 +25,7 @@ from losspool.trainer import (
     TrainConfig,
     TrainingDivergence,
     _clipped_window,
+    _with_bias,
     check_crop_pooling,
     class_pixel_counts,
     evaluate,
@@ -616,6 +618,36 @@ class TestBatchedStepParity:
             generate_dataset(small_spec()),
             TrainConfig(loss_mode=mode, iterations=10, batch_crops=1, seed=8),
         )
+
+
+class TestPoolingMechanism:
+    """Loss max-pooling moves weight onto the rare class: after training, the
+    pooled weights of the training crops give the rarest class a larger
+    share of the mass than of the pixels."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_rarest_class_outweighs_its_pixel_share(self, seed):
+        spec = SyntheticDatasetSpec(seed=100 + seed)  # the demo's dataset
+        dataset = generate_dataset(spec)
+        config = TrainConfig(loss_mode="lmp", sampler=SamplerConfig(), seed=seed)
+        weights = train(dataset, config).model_weights
+        (ch, cw), (h, w) = config.crop_size, spec.image_size
+        assert h % ch == 0 and w % cw == 0
+
+        def tiles(a):
+            """[images, h, w, ...] as [crops, ch * cw, ...], crop by crop."""
+            a = a.reshape(a.shape[0], h // ch, ch, w // cw, cw, *a.shape[3:])
+            return a.swapaxes(2, 3).reshape(-1, ch * cw, *a.shape[5:])
+
+        inputs = _with_bias(dataset.features[dataset.train_indices])
+        logits = (tiles(inputs) @ weights).reshape(-1, spec.classes)
+        labels = tiles(dataset.labels[dataset.train_indices]).reshape(-1)
+        losses = softmax_xent(SegBatch(logits=logits, labels=labels)).losses
+        sizes = [ch * cw] * (labels.size // (ch * cw))
+        pixel_weights = solve_pool(losses, config.pooling, sizes=sizes).weights
+
+        rare = labels == np.argmin(spec.class_pixel_fractions)
+        assert pixel_weights[rare].sum() / pixel_weights.sum() > rare.mean()
 
 
 class TestEvaluate:
