@@ -370,7 +370,7 @@ def _load_config_file(path, allowed) -> dict:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int past Python's digit limit
         raise ParameterError(f"config file {path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParameterError(f"config file {path} must hold a JSON object")

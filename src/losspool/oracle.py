@@ -8,6 +8,8 @@ Two independent routes to the pooled value, used to audit
   intersection of the weight box ``[0, tau]^n`` and the p-norm ball of
   radius ``gamma``.  The objective is linear and the set convex and compact,
   so the fixed point of the project-and-step map is a global maximiser.
+  The step is so long (``1e12`` times the set size) that the first
+  projection lands on the maximiser within rounding, and the second stalls.
   The projection brackets its multiplier from the last one or a closed-form
   upper end, narrows it by Illinois steps and returns the candidate at the
   feasible end, so every point the ascent scores lies in the set exactly.
@@ -59,7 +61,7 @@ _BALL_TOL = 1.0e-12
 # step size relative to the set size.
 _ASCENT_ITERS = 5000
 _ASCENT_MOVEMENT_TOL = 1.0e-9
-_ASCENT_STEP = 1.0e4
+_ASCENT_STEP = 1.0e12
 
 # Threshold points of each dual-scan grid (the first over [0, max l], each
 # refinement between the last best point's neighbours), and the most grid
@@ -152,10 +154,13 @@ def project_feasible(
     upper end, where :func:`stable_qnorm` measured the norm at most ``gamma``,
     so :func:`constraint_violation` reads exactly 0 on it.  With ``tau = inf``
     this is the projection of a non-negative point onto the p-norm ball alone.
+    A point already in the set is returned, clipped at 0, before any search.
     """
     if not (1.0 < params.p < math.inf):
         raise ValueError(f"projection needs finite p > 1, got {params.p!r}")
     v = np.maximum(np.asarray(point, dtype=np.float64), 0.0)
+    if v.max(initial=0.0) <= params.tau and stable_qnorm(v, params.p) <= params.gamma:
+        return v
     feasible: np.ndarray  # the candidate at the last multiplier with excess <= 0
 
     def excess(nu: float) -> float:
@@ -227,16 +232,18 @@ def maximize_primal(losses, config: PoolingConfig) -> OracleReport:
 
     The gradient is the loss vector itself, so each iteration steps along it
     and projects back with :func:`project_feasible`.  The step is the
-    constant ``_ASCENT_STEP = 1e4`` relative to the set size: the increment
-    is ``_ASCENT_STEP * gamma * l / ||l||_2``.  A fixed point of the
-    step-and-project map satisfies the variational optimality condition of
-    the linear objective over the convex compact feasible set for any
-    positive step, so large steps are not just admissible but make the
-    iteration contract hard; this one lands within rounding of the maximiser
-    in a handful of iterations.  Stops when the iterate stalls or the value
-    stops improving, or after ``_ASCENT_ITERS`` iterations, and reports the
-    best projection it scored: each is feasible exactly, so the value is a
-    lower bound on the pooled loss.  Requires finite ``p > 1``.
+    constant ``_ASCENT_STEP = 1e12`` relative to the set size: the increment
+    is ``(_ASCENT_STEP * gamma) * (l / ||l||_2)``, an order in which tiny
+    losses cannot overflow it.  A fixed point of the step-and-project map
+    satisfies the variational optimality condition of the linear objective
+    over the convex compact feasible set for any positive step, so large
+    steps are not just admissible but make the iteration contract hard.
+    This one puts the target so far along ``l`` that its projection is the
+    maximiser within about 1e-12 and the next iteration stalls: two
+    iterations on nearly every audit draw.  Stops when the iterate stalls or
+    the value stops improving, or after ``_ASCENT_ITERS`` iterations, and
+    reports the best projection it scored: each is feasible exactly, so the
+    value is a lower bound on the pooled loss.  Requires finite ``p > 1``.
     """
     values = as_loss_vector(losses)
     params = config.resolve(values.size)
@@ -245,7 +252,7 @@ def maximize_primal(losses, config: PoolingConfig) -> OracleReport:
 
     # All-zero losses give no direction, so the loop only projects.
     norm = stable_qnorm(values, 2.0)
-    increment = (_ASCENT_STEP * params.gamma / norm) * values if norm > 0.0 else values
+    increment = (_ASCENT_STEP * params.gamma) * (values / norm) if norm > 0.0 else values
     w = np.full(values.size, 1.0 / values.size)
     best_w, best_val = w, -math.inf
     state: dict = {}

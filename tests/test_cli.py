@@ -479,6 +479,17 @@ class TestSolveCommand:
         code = main(["solve", "--losses", losses, "--config", str(config)])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["solve", "oracle-audit", "train-demo"])
+    def test_config_int_past_the_digit_limit_exits_3(self, tmp_path, capsys, command):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError.
+        losses = write_losses(tmp_path / "l.csv", [1.0, 2.0])
+        config = tmp_path / "cfg.json"
+        config.write_text('{"seed": 1' + "0" * 5000 + "}")
+        args = ["--losses", losses] if command == "solve" else []
+        code = main([command, *args, "--config", str(config), "--output-dir", str(tmp_path)])
+        assert code == 3
+        assert f"config file {config}: " in capsys.readouterr().err
+
 
 class TestJsonWriter:
     """The exact bytes of the files the CLI writes."""
@@ -779,7 +790,7 @@ class TestOracleAuditCommand:
             b'  "kkt_tol": 9.9999999999999995e-07,\n'
             b'  "all_passed": true,\n'
             b'  "worst": {\n'
-            b'    "ascent_rel_err": 7.0067933271985695e-13,\n'
+            b'    "ascent_rel_err": 2.6725038456346744e-13,\n'
             b'    "scan_rel_err": 3.9752911157142062e-16,\n'
             b'    "kkt_residual": 1.1102230246251565e-16,\n'
             b'    "constraint_violation": 0\n'
@@ -790,9 +801,9 @@ class TestOracleAuditCommand:
             b'    "p": 2,\n'
             b'    "m": 38.391522784201278,\n'
             b'    "solver_value": 0.55856187248097544,\n'
-            b'    "ascent_value": 0.55856187248097522,\n'
+            b'    "ascent_value": 0.55856187248097533,\n'
             b'    "scan_value": 0.55856187248097522,\n'
-            b'    "ascent_rel_err": 3.9752911157142062e-16,\n'
+            b'    "ascent_rel_err": 1.9876455578571031e-16,\n'
             b'    "scan_rel_err": 3.9752911157142062e-16,\n'
             b'    "kkt_residual": 5.5511151231257827e-17,\n'
             b'    "constraint_violation": 0,\n'
@@ -803,9 +814,9 @@ class TestOracleAuditCommand:
             b'    "p": 1.3,\n'
             b'    "m": 2.1797895930485849,\n'
             b'    "solver_value": 3.1239906946507912,\n'
-            b'    "ascent_value": 3.1239906946486022,\n'
+            b'    "ascent_value": 3.1239906946499563,\n'
             b'    "scan_value": 3.1239906946507903,\n'
-            b'    "ascent_rel_err": 7.0067933271985695e-13,\n'
+            b'    "ascent_rel_err": 2.6725038456346744e-13,\n'
             b'    "scan_rel_err": 2.8430891974836962e-16,\n'
             b'    "kkt_residual": 0,\n'
             b'    "constraint_violation": 0,\n'
