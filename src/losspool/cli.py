@@ -218,9 +218,11 @@ def read_losses(path) -> np.ndarray:
     holding no Python object per loss, with the values and errors of a whole parse.
     """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputDataError(f"cannot read losses file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"losses file {path} is not UTF-8 text: {exc}") from exc
     if not text or text.isspace():
         raise InputDataError(f"losses file {path} is empty")
     body = text.lstrip()  # the text itself when nothing is stripped

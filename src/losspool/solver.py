@@ -34,7 +34,6 @@ Everything here is plain numpy on 1-D float64 arrays.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,16 +46,6 @@ __all__ = [
     "as_loss_vector",
     "solve_pool",
 ]
-
-# q beyond this swaps to the top-floor(m) path of p = 1.  The scan's pooled
-# value stays exact there, but the weights raise l / alpha_star to the power
-# q - 1, so their rounding grows with q: with the cap lifted, the worst
-# |w . l - pooled| / pooled over 200 random instances was 3e-13 at q = 1e4,
-# 4e-10 at q = 1e7 and 3e-7 at q = 1e10, while the pooled value stayed
-# within 4e-16 of a 60-digit reference.  The swap is not exact either: on the
-# same instances top-m is up to 2e-4 off the scan's value at q = 2e4.
-Q_CAP = 1.0e4
-
 
 def as_loss_vector(values) -> np.ndarray:
     """Validate and convert ``values`` to a 1-D float64 loss vector.
@@ -142,15 +131,6 @@ class PoolingConfig:
             return ResolvedPooling(p=p, n=n, m=m, q=math.inf, gamma=1.0, tau=1.0 / m)
 
         q = p / (p - 1.0)
-        if q > Q_CAP:
-            # The warning points here, not at the caller, so a command that
-            # resolves the same config twice prints it once.
-            warnings.warn(
-                f"p = {p:g} gives conjugate exponent q = {q:.3g} beyond {Q_CAP:g}; "
-                "treating as p = 1 (hard top-m selection)",
-                RuntimeWarning,
-            )
-            return ResolvedPooling(p=p, n=n, m=m, q=math.inf, gamma=1.0, tau=1.0 / m)
         gamma = float(n) ** (-1.0 / q)
         if m == n:
             # gamma * n ** (-1/p) == 1/n algebraically; write it exactly.
@@ -183,12 +163,12 @@ class SolveOutcome:
 def solve_pool(losses, config: PoolingConfig, sizes=None) -> SolveOutcome:
     """Maximise the weighted loss over the pooling family.
 
-    For ``p = 1`` (and for ``q`` beyond ``Q_CAP``) the ``floor(m)`` largest
-    losses are capped and the fractional part of ``m`` is spread over the
-    losses tied at the next value; otherwise the threshold comes from the
-    log-domain scan of :func:`_solve_threshold_scan`.  Both work on the losses as
-    given, so any positive loss, down to the smallest subnormal, stays
-    distinct from zero.  All-zero losses give the all-zero outcome;
+    For ``p = 1`` the ``floor(m)`` largest losses are capped and the
+    fractional part of ``m`` is spread over the losses tied at the next
+    value; otherwise the threshold comes from the log-domain scan of
+    :func:`_solve_threshold_scan`.  Both work on the losses as given, so
+    any positive loss, down to the smallest subnormal, stays distinct
+    from zero.  All-zero losses give the all-zero outcome;
     ``p = inf`` and ``m = n`` give the plain mean with uniform weights.  The
     returned weighting is feasible, its inner product with the losses equals
     ``pooled_loss``, and ``pooled_loss >= mean(losses)``.  ``alpha_star`` is
@@ -294,6 +274,13 @@ def _solve_threshold_scan(s, n, m, q, tau):
     and padding have ``log s = -inf``: they add nothing to ``A_k`` and never
     stop the scan.
 
+    The weights ``tau * (s_i / alpha)**(q - 1)`` are taken relative to the
+    pivot ``s_k``, the largest loss under the cap.  With ``r_i = log(s_i /
+    s_k)`` and ``rho = sum(exp(q r_i)) = A_k / s_k**q``, ``log(s_k / alpha)
+    = (log(m - |support|) - log rho) / q``.  Where ``s_i >= s_k / 2``,
+    ``s_i - s_k`` is exact and ``r_i`` is its ``log1p``, so the rounding of
+    the weights does not grow with ``q``.
+
     ``s`` is one sorted row, or sorted rows; ``n``, ``m`` and ``tau`` are
     scalars, or columns.  Returns per row, on a last axis of length 1, the
     sorted position of the smallest capped loss, the threshold and the pooled
@@ -320,11 +307,20 @@ def _solve_threshold_scan(s, n, m, q, tau):
         hits = counts > np.exp(np.subtract(log_prefix, log_powers, out=log_powers), out=log_powers)
         stop = np.where(hits.any(axis=-1, keepdims=True), hits.argmax(axis=-1, keepdims=True), N)
         rest = m - (N - stop)  # m - |support| > 0
-        log_a = np.where(stop > 0, log_prefix.ravel()[_row_starts(s) + stop - 1], -np.inf)
+        pivot = _row_starts(s) + stop - 1
+        log_a = np.where(stop > 0, log_prefix.ravel()[pivot], -np.inf)
         del log_prefix, hits
         log_alpha = (log_a - _each(math.log, rest)) / q
         ratio = _each(math.exp, log_alpha)  # alpha / top
-        log_s -= log_alpha
+        s_k = s.ravel()[pivot]
+        log_s -= log_s.ravel()[pivot]
+        gap = np.subtract(s, s_k, out=log_powers)
+        np.log1p(np.divide(gap, s_k, out=gap), out=log_s, where=s >= 0.5 * s_k)
+        # A sequential sum, so zero padding before a row keeps rho's bits;
+        # exp() may overflow above the pivot, past where rho is read.
+        rho = np.exp(np.multiply(log_s, q, out=log_powers), out=log_powers)
+        rho = np.cumsum(rho, axis=-1, out=rho).ravel()[pivot]
+        log_s += (_each(math.log, rest) - _each(math.log, rho)) / q
         log_s *= q - 1.0
         shrunk = np.multiply(np.exp(log_s, out=log_s), tau, out=log_s)
         shrunk[s <= 0] = 0.0

@@ -470,6 +470,19 @@ class TestOracleAgreement:
             assert rel_err(pooled, ascent.value) < 1e-8
             assert rel_err(pooled, scan.value) < 1e-8
 
+    @pytest.mark.parametrize("p", [1.001, 1.0001, 1.00001])
+    def test_both_oracles_meet_the_solver_near_p_one(self, p):
+        """q from 1e3 to 1e5, where the solver runs its threshold scan."""
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            losses, config = random_instance(rng)
+            config = PoolingConfig(p=p, m=config.m)
+            pooled = solve_pool(losses, config).pooled_loss
+            ascent = maximize_primal(losses, config)
+            assert ascent.converged
+            assert rel_err(pooled, ascent.value) <= 1e-7
+            assert rel_err(pooled, scan_dual_alpha(losses, config).value) <= 1e-14
+
     def test_ascent_never_exceeds_scan(self):
         """Weak duality: every feasible primal value sits below every dual."""
         rng = np.random.default_rng(10)

@@ -30,13 +30,15 @@ def reference_solve(losses, p, m, dps=60):
 
     Implements the optimality conditions directly on mpmath numbers: sort,
     scan the running root function until it turns positive, back out the
-    threshold from the previous prefix.  Returns (pooled, alpha) as floats.
+    threshold from the previous prefix.  Returns (pooled, alpha, weights) as
+    floats, the weights in the order of ``losses``.
     """
     mp.dps = dps
     n = len(losses)
     # mpf(float) is exact binary conversion, so the reference starts from
     # the very same float64 inputs the solver sees.
-    ls = sorted(mpf(float(x)) for x in losses)
+    order = sorted(range(n), key=lambda i: float(losses[i]))
+    ls = [mpf(float(losses[i])) for i in order]
     p_mp, m_mp = mpf(float(p)), mpf(float(m))
     q = mpf(1) / (mpf(1) - mpf(1) / p_mp)
     gamma = mpow(mpf(n), -mpf(1) / q)
@@ -58,7 +60,15 @@ def reference_solve(losses, p, m, dps=60):
     alpha = mpow(a_prev / c_prev, mpf(1) / q) if a_prev > 0 else mpf(0)
     tail = ls[stop - 1:] if stop <= n else []
     pooled = tau * (sum(tail, mpf(0)) + (m_mp - len(tail)) * alpha)
-    return float(pooled), float(alpha)
+    weights = np.empty(n)
+    for rank, i in enumerate(order):
+        if rank >= stop - 1:
+            weights[i] = float(tau)
+        elif ls[rank] > 0:
+            weights[i] = float(tau * mpow(ls[rank] / alpha, q - 1))
+        else:
+            weights[i] = 0.0
+    return float(pooled), float(alpha), weights
 
 
 def random_losses(rng, n):
@@ -112,6 +122,10 @@ class TestDeriveParameters:
         assert math.isinf(r.q)
         assert (r.gamma, r.tau) == (1.0, 0.25)
 
+    def test_every_p_above_one_keeps_a_finite_exponent(self):
+        r = PoolingConfig(p=math.nextafter(1.0, 2.0), m=4.0).resolve(10)
+        assert r.q == 2.0**52 + 1.0
+
     def test_m_equal_n_gives_exact_uniform_cap(self):
         # gamma * n**(-1/p) equals 1/n only up to rounding if computed the
         # long way; the resolved tau must be exactly 1/n.
@@ -148,12 +162,6 @@ class TestDeriveParameters:
             PoolingConfig(p=0.9, m=2.0).resolve(10)
         with pytest.raises(ValueError):
             PoolingConfig(p=2.0, m=1.0).resolve(0)
-
-    def test_huge_conjugate_exponent_warns_and_hardens(self):
-        with pytest.warns(RuntimeWarning, match="conjugate exponent"):
-            r = PoolingConfig(p=1.00005, m=4.0).resolve(10)
-        assert math.isinf(r.q)
-        assert r.tau == 0.25
 
 
 class TestPoolingConfig:
@@ -265,7 +273,7 @@ class TestReferenceAgreement:
         ],
     )
     def test_matches_reference(self, losses, p, m):
-        expected_pooled, expected_alpha = reference_solve(losses, p, m)
+        expected_pooled, expected_alpha, _ = reference_solve(losses, p, m)
         out = solve_pool(losses, PoolingConfig(p=p, m=m))
         np.testing.assert_allclose(out.pooled_loss, expected_pooled, rtol=5e-14)
         np.testing.assert_allclose(out.alpha_star, expected_alpha, rtol=5e-14)
@@ -274,9 +282,36 @@ class TestReferenceAgreement:
         """p = 1.0005 (q about 2000), where powers l**q leave float64 range."""
         losses = [0.5, 1.0, 0.25, 0.75]
         out = solve_pool(losses, PoolingConfig(p=1.0005, m=2.5))
-        expected_pooled, expected_alpha = reference_solve(losses, 1.0005, 2.5)
+        expected_pooled, expected_alpha, _ = reference_solve(losses, 1.0005, 2.5)
         np.testing.assert_allclose(out.pooled_loss, expected_pooled, rtol=1e-13)
         np.testing.assert_allclose(out.alpha_star, expected_alpha, rtol=1e-13)
+
+    LOSS_KINDS = {
+        "lognormal": lambda rng, n: rng.lognormal(0.0, 1.0, n),
+        "thirty-decades": lambda rng, n: 10.0 ** rng.uniform(-30.0, 0.0, n),
+        "float64-range": lambda rng, n: 2.0 ** rng.uniform(-1070.0, 1000.0, n),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(LOSS_KINDS))
+    @pytest.mark.parametrize(
+        "p",
+        [q / (q - 1.0) for q in (1.02, 1.5, 4.33, 100.0, 1e4, 1e10, 1e15)]
+        + [math.nextafter(1.0, 2.0)],
+        ids=["q1.02", "q1.5", "q4.33", "q100", "q1e4", "q1e10", "q1e15", "p-next-after-1"],
+    )
+    def test_weights_match_reference(self, p, kind):
+        """Weights within 1e-14 of the largest weight for q up to 4.5e15,
+        on losses spread up to the whole float64 range."""
+        rng = np.random.default_rng(sorted(self.LOSS_KINDS).index(kind))
+        for _ in range(12):
+            n = int(rng.integers(2, 51))
+            losses = self.LOSS_KINDS[kind](rng, n)
+            m = float(rng.uniform(1.0, n))
+            expected_pooled, _, expected_weights = reference_solve(losses, p, m)
+            out = solve_pool(losses, PoolingConfig(p=p, m=m))
+            assert abs(out.pooled_loss - expected_pooled) <= 1e-15 * expected_pooled
+            error = np.abs(out.weights - expected_weights).max()
+            assert error <= 1e-14 * expected_weights.max()
 
     def test_random_instances_match_reference(self):
         rng = np.random.default_rng(7)
@@ -285,7 +320,7 @@ class TestReferenceAgreement:
             losses = random_losses(rng, n)
             p = float(rng.choice([1.1, 1.3, 1.7, 2.0, 4.0]))
             m = float(rng.uniform(1.0, n))
-            expected_pooled, expected_alpha = reference_solve(losses, p, m)
+            expected_pooled, expected_alpha, _ = reference_solve(losses, p, m)
             out = solve_pool(losses, PoolingConfig(p=p, m=m))
             np.testing.assert_allclose(out.pooled_loss, expected_pooled, rtol=1e-12)
             np.testing.assert_allclose(
@@ -434,14 +469,6 @@ class TestLimits:
         out = solve_pool(losses, PoolingConfig(p=50.0, m=10.0))
         assert np.abs(out.weights - 1.0 / 64).max() < 1e-2
 
-    def test_conjugate_cap_falls_back_to_hard_top(self):
-        losses = [0.5, 1.0]
-        with pytest.warns(RuntimeWarning, match="conjugate exponent"):
-            capped = solve_pool(losses, PoolingConfig(p=1.00005, m=1.5))
-        hard = solve_pool(losses, PoolingConfig(p=1.0, m=1.5))
-        assert capped.pooled_loss == hard.pooled_loss
-        np.testing.assert_array_equal(capped.weights, hard.weights)
-
 
 class TestMemory:
     @pytest.mark.parametrize("p,bound", [(1.3, 7.5), (1.0, 5.0)])
@@ -527,7 +554,7 @@ class TestSegmentedSolve:
             start = end
         assert_same_bits(batched.support, np.concatenate(supports))
 
-    @pytest.mark.parametrize("p", [1.0, 1.001, 1.3, 2.0, 7.0, math.inf])
+    @pytest.mark.parametrize("p", [1.0, 1.000001, 1.001, 1.3, 2.0, 7.0, math.inf])
     @pytest.mark.parametrize(
         "m", [{"m_fraction": 0.25}, {"m_fraction": 1.0}, {"m_fraction": 0.6}, {"m": 1.0}]
     )
