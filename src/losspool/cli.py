@@ -369,7 +369,7 @@ def _seeds(value) -> list[int]:
 
 def _load_config_file(path, allowed) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from exc
     except ValueError as exc:  # also an int past Python's digit limit

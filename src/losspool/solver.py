@@ -23,8 +23,9 @@ the threshold is the largest root of
 
 and :func:`solve_pool` finds it exactly in ``O(n log n)`` by sorting the
 losses and scanning them in order.  The scan sums in logarithms, so it stays
-exact for every ``p`` in ``(1, inf]`` and for losses spanning the whole
-float64 range; ``p = 1`` selects the top ``m`` losses by comparison alone.
+exact for every finite ``p > 1`` and for losses spanning the whole float64
+range; ``p = 1`` selects the top ``m`` losses by comparison alone, and
+``p = inf`` caps every loss.
 The optimal weights are also the gradient of the pooled value with respect
 to the losses, wherever the support does not change.
 
@@ -125,8 +126,9 @@ class PoolingConfig:
                 raise ValueError(f"m must lie in [1, n] = [1, {n}], got {self.m!r}")
 
         if math.isinf(p):
-            # Dual exponent 1; cap and budget coincide, pooling is the plain mean.
-            return ResolvedPooling(p=p, n=n, m=m, q=1.0, gamma=1.0 / n, tau=1.0 / n)
+            # Dual exponent 1; cap and budget coincide, so every pixel is
+            # capped (m = n) and pooling is the plain mean.
+            return ResolvedPooling(p=p, n=n, m=float(n), q=1.0, gamma=1.0 / n, tau=1.0 / n)
         if p == 1.0:
             return ResolvedPooling(p=p, n=n, m=m, q=math.inf, gamma=1.0, tau=1.0 / m)
 
@@ -165,10 +167,11 @@ def solve_pool(losses, config: PoolingConfig, sizes=None) -> SolveOutcome:
 
     For ``p = 1`` the ``floor(m)`` largest losses are capped and the
     fractional part of ``m`` is spread over the losses tied at the next
-    value; otherwise the threshold comes from the log-domain scan of
-    :func:`_solve_threshold_scan`.  Both work on the losses as given, so
-    any positive loss, down to the smallest subnormal, stays distinct
-    from zero.  All-zero losses give the all-zero outcome;
+    value; ``p = inf`` resolves ``m`` to ``n``, so every loss is capped and
+    ``alpha_star`` is 0.  Otherwise the threshold comes from the log-domain
+    scan of :func:`_solve_threshold_scan`.  Both paths work on the losses as
+    given, so any positive loss, down to the smallest subnormal, stays
+    distinct from zero.  All-zero losses give the all-zero outcome;
     ``p = inf`` and ``m = n`` give the plain mean with uniform weights.  The
     returned weighting is feasible, its inner product with the losses equals
     ``pooled_loss``, and ``pooled_loss >= mean(losses)``.  ``alpha_star`` is
@@ -206,13 +209,14 @@ def solve_pool(losses, config: PoolingConfig, sizes=None) -> SolveOutcome:
     order = np.argsort(padded, axis=-1, kind="stable")
     order += _row_starts(padded)
     s = padded.ravel()[order]
-    solve = _solve_hard_top if math.isinf(q) else _solve_threshold_scan
+    # Routed on p, as q is also 1.0 for finite p >= 2**53.
+    solve = _solve_hard_top if config.p in (1.0, math.inf) else _solve_threshold_scan
     stop, alpha, below, shrunk = solve(s, n, m, q, tau)
     capped = np.arange(N) >= stop
     # The cap equals the uniform weight 1/n here, so the optimum is the plain
     # mean; computing it directly keeps the upper bound exact at the
     # boundary and the weights exactly uniform.
-    mean = (s[..., -1:] > 0) & (math.isinf(config.p) | (m == n))
+    mean = (s[..., -1:] > 0) & (m == n)
     weights, in_support = np.empty(padded.size), np.empty(padded.size, dtype=bool)
     np.copyto(shrunk, tau, where=capped | mean)
     weights[order] = shrunk
@@ -332,7 +336,7 @@ def _solve_threshold_scan(s, n, m, q, tau):
 
 
 def _solve_hard_top(s, n, m, q, tau):
-    """p = 1 limit: cap the floor(m) largest losses, split the remainder.
+    """p = 1 limit, and p = inf (m = n): cap the floor(m) largest losses, split the remainder.
 
     The fractional part of ``m`` spreads uniformly over the pixels tied at
     the threshold (none if the threshold is zero).  A row without a positive

@@ -26,20 +26,22 @@ def eta(alpha, losses, q, m):
     return float((m - np.count_nonzero(above)) * alpha**q - np.sum(values[~above] ** q))
 
 
-def project_feasible_bisect(point, params, state=None):
+def project_feasible_bisect(point, params):
     """The joint projection with the multiplier found by halving its bracket.
 
     The reference for :func:`losspool.oracle.project_feasible`: the same
-    candidate map and stop width, with bisection in place of the Illinois
-    step.  It calls the oracle's ``_shrink_to_ball_surface`` through the
-    module, so a patched counter there sees both loops.
+    candidate map, in units of the radius, and stop width, with bisection
+    from ``[0, 1]`` in place of the closed-form start and the Illinois step.
+    It calls the oracle's ``_shrink_to_ball_surface`` through the module, so
+    a patched counter there sees both loops.
     """
     if not (1.0 < params.p < math.inf):
         raise ValueError(f"projection needs finite p > 1, got {params.p!r}")
-    v = np.maximum(np.asarray(point, dtype=np.float64), 0.0)
+    u = np.maximum(np.asarray(point, dtype=np.float64), 0.0) / params.gamma
 
     def candidate(nu):
-        return np.minimum(oracle._shrink_to_ball_surface(v, nu, params.p), params.tau)
+        shrunk = oracle._shrink_to_ball_surface(u, nu, params.p)
+        return np.minimum(params.gamma * shrunk, params.tau)
 
     w0 = candidate(0.0)
     if oracle.stable_qnorm(w0, params.p) <= params.gamma:
@@ -49,26 +51,15 @@ def project_feasible_bisect(point, params, state=None):
         return oracle.stable_qnorm(candidate(nu), params.p) - params.gamma
 
     lo, hi = 0.0, 1.0
-    if state is not None and state.get("nu", 0.0) > 0.0:
-        hint = state["nu"]
-        lo, hi = hint / 4.0, hint * 4.0
-        if excess(lo) < 0.0:
-            lo = 0.0
-        while excess(hi) > 0.0:
-            hi *= 4.0
-    else:
-        while excess(hi) > 0.0:
-            hi *= 4.0
+    while excess(hi) > 0.0:
+        hi *= 4.0
     while hi - lo > oracle._BALL_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    nu = 0.5 * (lo + hi)
-    if state is not None:
-        state["nu"] = nu
-    return candidate(nu)
+    return candidate(0.5 * (lo + hi))
 
 
 # Alternating projections stop once a full cycle moves the iterate no more
@@ -94,14 +85,13 @@ def project_feasible_dykstra(point, params):
     ball = params._replace(tau=math.inf)
     box_corr = np.zeros_like(x)
     ball_corr = np.zeros_like(x)
-    ball_state = {}
     prev = None
     for _ in range(DYKSTRA_MAX_CYCLES):
         shifted = x + box_corr
         y = np.clip(shifted, 0.0, params.tau)
         box_corr = shifted - y
         shifted = y + ball_corr
-        x = oracle.project_feasible(shifted, ball, state=ball_state)
+        x = oracle.project_feasible(shifted, ball)
         ball_corr = shifted - x
         gap = float(np.max(np.abs(y - x)))
         if (

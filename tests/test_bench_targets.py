@@ -5,8 +5,8 @@ the other bench scripts import names from ``losspool``; a refactor that
 renames one of them would otherwise show up only in a benchmark run.
 ``spans.py`` imports only the standard library, so it is loaded here
 straight from its file; the other scripts are only parsed.  A short traced
-``train-demo`` checks that the tracer can time and count every sampler
-layer, as a traced benchmark run would.
+``train-demo`` and ``oracle-audit`` check that the tracer can time and count
+every sampler and oracle layer, as a traced benchmark run would.
 """
 
 import ast
@@ -65,3 +65,15 @@ def test_a_traced_demo_times_and_counts_every_sampler_layer(tmp_path, capsys):
     crops = tracer.totals["sampler.update_stats"][0]
     assert crops == tracer.totals["sampler.sample_class"][0] == tracer.counts["sampler.picks"]
     assert tracer.counts["sampler.iou_history_len"] == crops > 0
+
+
+def test_a_traced_audit_times_and_counts_every_oracle_layer(tmp_path, capsys):
+    tracer = load_spans().Tracer()
+    with tracer.installed():
+        code = main(["oracle-audit", "--instances", "3", "--output-dir", str(tmp_path)])
+    tracer.drain()
+    assert code == 0
+    layers = ["oracle.run_audit", "oracle.maximize_primal", "oracle.scan_dual_alpha",
+              "oracle.kkt_residual", "solver.solve_pool"]
+    assert tracer.problems(layers) == []
+    assert tracer.counts["oracle.ascent_iters"] > 0

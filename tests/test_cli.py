@@ -404,18 +404,24 @@ class TestSolveCommand:
         assert "input error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_infinite_p_threshold_beyond_float64_exits_2(self, tmp_path, capsys):
-        # At p = inf the pooled value is the mean, but alpha_star is the
-        # threshold of the fixed point the KKT check uses: here sum / m.
-        losses = write_losses(tmp_path / "l.csv", [1.7e308] * 3)
+    @pytest.mark.parametrize(
+        "values, m", [([1.7e308] * 3, "2"), ([1e308, 1.5e308], "1")], ids=["tied", "m1"]
+    )
+    def test_infinite_p_near_float64_max_exits_0(self, tmp_path, capsys, values, m):
+        # At p = inf every pixel is capped: alpha_star is 0 and the dual is
+        # the losses.  It used to be sum / m, which overflowed here.
+        losses = write_losses(tmp_path / "l.csv", values)
         out = tmp_path / "solution.json"
         code = main(
-            ["solve", "--losses", losses, "--p", "inf", "--m", "2",
+            ["solve", "--losses", losses, "--p", "inf", "--m", m,
              "--output", str(out)]
         )
-        assert code == 2
-        assert "alpha_star inf" in capsys.readouterr().err
-        assert not out.exists()
+        assert code == 0
+        solution = json.loads(out.read_text())
+        assert solution["pooled_loss"] == pytest.approx(sum(v / len(values) for v in values))
+        assert solution["alpha_star"] == 0.0
+        assert solution["support_indices"] == list(range(len(values)))
+        assert solution["dual"] == values
 
     def test_mean_of_losses_near_float64_max_exits_0(self, tmp_path, capsys):
         # Their sum passes the float64 maximum; the mean and the threshold
@@ -464,10 +470,11 @@ class TestSolveCommand:
             main(["solve", "--frobnicate"])
         assert info.value.code == 3
 
-    def test_config_file_supplies_defaults(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_config_file_supplies_defaults(self, tmp_path, capsys, bom):
         losses = write_losses(tmp_path / "l.csv", [3.0, 1.0])
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"p": 2, "m": "1"}))
+        config.write_text(bom + json.dumps({"p": 2, "m": "1"}), encoding="utf-8")
         code = main(["solve", "--losses", losses, "--config", str(config)])
         assert code == 0
         assert capsys.readouterr().out.strip() == "2.23606798"
@@ -806,7 +813,7 @@ class TestOracleAuditCommand:
             b'  "kkt_tol": 9.9999999999999995e-07,\n'
             b'  "all_passed": true,\n'
             b'  "worst": {\n'
-            b'    "ascent_rel_err": 2.6725038456346744e-13,\n'
+            b'    "ascent_rel_err": 2.6710823010359325e-13,\n'
             b'    "scan_rel_err": 3.9752911157142062e-16,\n'
             b'    "kkt_residual": 1.1102230246251565e-16,\n'
             b'    "constraint_violation": 0\n'
@@ -830,9 +837,9 @@ class TestOracleAuditCommand:
             b'    "p": 1.3,\n'
             b'    "m": 2.1797895930485849,\n'
             b'    "solver_value": 3.1239906946507912,\n'
-            b'    "ascent_value": 3.1239906946499563,\n'
+            b'    "ascent_value": 3.1239906946499567,\n'
             b'    "scan_value": 3.1239906946507903,\n'
-            b'    "ascent_rel_err": 2.6725038456346744e-13,\n'
+            b'    "ascent_rel_err": 2.6710823010359325e-13,\n'
             b'    "scan_rel_err": 2.8430891974836962e-16,\n'
             b'    "kkt_residual": 0,\n'
             b'    "constraint_violation": 0,\n'

@@ -104,9 +104,8 @@ class TestFeasibleProjection:
         monkeypatch.setattr(losspool.oracle, "_shrink_to_ball_surface", counted)
         params = PoolingConfig(p=1.7, m=2.0).resolve(4)
         point = np.array([0.25, -0.5, 0.25, 0.0])
-        for state in (None, {}, {"nu": 3.0}):
-            out = project_feasible(point, params, state=state)
-            np.testing.assert_array_equal(out, np.maximum(point, 0.0))
+        out = project_feasible(point, params)
+        np.testing.assert_array_equal(out, np.maximum(point, 0.0))
         assert calls[0] == 0
 
     def test_far_point_projects_inward(self):
@@ -163,22 +162,11 @@ class TestFeasibleProjection:
             reference = project_feasible_dykstra(point, params)
             np.testing.assert_allclose(exact, reference, atol=1e-8)
 
-    def test_warm_state_matches_cold(self):
-        rng = np.random.default_rng(7)
-        params = PoolingConfig(p=1.7, m=4.0).resolve(12)
-        state: dict = {}
-        for _ in range(5):
-            point = rng.normal(0.5, 1.0, 12)
-            warm = project_feasible(point, params, state=state)
-            cold = project_feasible(point, params)
-            np.testing.assert_allclose(warm, cold, atol=1e-10)
-
     @pytest.mark.parametrize("p", [1.1, 1.3, 1.7, 2.0, 3.0, 4.0, 8.0])
     @pytest.mark.parametrize("capped", [True, False])
     def test_result_is_feasible_exactly(self, p, capped):
         """The result is the bracket's feasible end, not a point beside it."""
         rng = np.random.default_rng(12)
-        state: dict = {}
         for _ in range(40):
             n = int(rng.integers(1, 40))
             params = PoolingConfig(p=p, m=float(rng.uniform(1.0, n))).resolve(n)
@@ -187,8 +175,6 @@ class TestFeasibleProjection:
             scale = params.gamma * float(rng.choice([0.01, 0.5, 1.0, 3.0, 1e4]))
             point = rng.normal(0.3, 1.0, n) * scale
             assert constraint_violation(project_feasible(point, params), params) == 0.0
-            warm = project_feasible(point, params, state=state)
-            assert constraint_violation(warm, params) == 0.0
 
     def test_rejects_p_one_and_infinity(self):
         with pytest.raises(ValueError):
@@ -197,23 +183,24 @@ class TestFeasibleProjection:
             project_feasible(np.ones(3), PoolingConfig(p=math.inf, m=2.0).resolve(3))
 
 
-def ascent_points(p, seed):
-    """Six step targets of a primal ascent, and the set's parameters.
+def far_target(losses, params):
+    """The point :func:`maximize_primal` projects: the uniform weighting plus
+    ``(_ASCENT_STEP * gamma) * (l / ||l||_2)``, in that order."""
+    step = losspool.oracle._ASCENT_STEP * params.gamma
+    return np.full(losses.size, 1.0 / losses.size) + step * (losses / stable_qnorm(losses, 2.0))
 
-    As in :func:`maximize_primal`, each target is the iterate plus
-    ``(_ASCENT_STEP * gamma) * (l / ||l||_2)``, in that order; the iterates
-    start uniform and are projected by the bisection reference.
-    """
+
+def ascent_points(p, seed):
+    """An ascent's far target, scaled copies of it and random points, and the
+    set's parameters.  The copies, scaled by 1e-3 down to 1e-12, lie ever
+    nearer the set."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 40))
     losses = rng.lognormal(0.0, 1.0, n)
     params = PoolingConfig(p=p, m=float(rng.uniform(1.0, n))).resolve(n)
-    increment = (losspool.oracle._ASCENT_STEP * params.gamma) * (losses / np.linalg.norm(losses))
-    w = np.full(n, 1.0 / n)
-    points = []
-    for _ in range(6):
-        points.append(w + increment)
-        w = project_feasible_bisect(points[-1], params)
+    target = far_target(losses, params)
+    points = [scale * target for scale in (1.0, 1e-3, 1e-6, 1e-9, 1e-12)]
+    points += [rng.normal(0.0, 2.0 * params.tau, n) for _ in range(2)]
     return points, params
 
 
@@ -226,8 +213,6 @@ class TestIllinoisAgainstBisection:
     def test_cold_start_matches(self, p):
         for seed in range(5):
             points, params = ascent_points(p, seed)
-            rng = np.random.default_rng(100 + seed)
-            points.append(rng.normal(0.0, 2.0 * params.tau, params.n))
             for point in points:
                 np.testing.assert_allclose(
                     project_feasible(point, params),
@@ -235,18 +220,18 @@ class TestIllinoisAgainstBisection:
                     rtol=0.0, atol=1e-12,
                 )
 
-    @pytest.mark.parametrize("p", P_VALUES)
-    def test_warm_start_matches(self, p):
+    @pytest.mark.parametrize("p", [200.0, 1.0e3, 1.0e6])
+    def test_large_p_matches(self, p):
+        """At these p a weight below the cap needs a multiplier past float64
+        range in absolute units; in units of the radius both searches find it."""
         for seed in range(5):
             points, params = ascent_points(p, seed)
-            state, reference_state = {}, {}
             for point in points:
+                exact = project_feasible(point, params)
+                assert constraint_violation(exact, params) == 0.0
                 np.testing.assert_allclose(
-                    project_feasible(point, params, state=state),
-                    project_feasible_bisect(point, params, state=reference_state),
-                    rtol=0.0, atol=1e-12,
+                    exact, project_feasible_bisect(point, params), rtol=0.0, atol=1e-12
                 )
-            assert state["nu"] == pytest.approx(reference_state["nu"], rel=1e-11)
 
     @pytest.mark.parametrize("p", P_VALUES)
     def test_ball_only_call_matches(self, p):
@@ -257,11 +242,10 @@ class TestIllinoisAgainstBisection:
             params = PoolingConfig(p=p, m=float(rng.uniform(1.0, n))).resolve(n)
             lifted = params._replace(tau=math.inf)
             point = np.abs(rng.normal(0.0, 2.0 * params.tau, n))
-            state, reference_state = {}, {}
             for scale in (1.0, 1.1, 0.9):
                 np.testing.assert_allclose(
-                    project_feasible(scale * point, lifted, state=state),
-                    project_feasible_bisect(scale * point, lifted, state=reference_state),
+                    project_feasible(scale * point, lifted),
+                    project_feasible_bisect(scale * point, lifted),
                     rtol=0.0, atol=1e-12,
                 )
 
@@ -279,12 +263,10 @@ class TestIllinoisAgainstBisection:
         for project in (project_feasible, project_feasible_bisect):
             calls[0] = 0
             for points, params in cases:
-                state: dict = {}
                 for point in points:
                     project(point, params)
-                    project(point, params, state=state)
             used[project] = calls[0]
-        # About 3.4x fewer on these points; plain false position, without
+        # About 4.8x fewer on these points; plain false position, without
         # the Illinois halving, saves only about 2.6x.
         assert 0 < 3 * used[project_feasible] < used[project_feasible_bisect]
 
@@ -292,7 +274,6 @@ class TestIllinoisAgainstBisection:
 class TestPrimalAscent:
     def test_worked_example(self):
         report = maximize_primal([3.0, 1.0], PoolingConfig(p=2.0, m=1.0))
-        assert report.converged
         np.testing.assert_allclose(report.value, math.sqrt(5.0), rtol=1e-9)
         # The objective is flat at the maximiser, so the iterate converges
         # more slowly than the value.
@@ -304,7 +285,6 @@ class TestPrimalAscent:
     def test_zero_losses(self):
         report = maximize_primal([0.0, 0.0], PoolingConfig(p=2.0, m=1.0))
         assert report.value == 0.0
-        assert report.converged
 
     def test_reports_a_feasible_point_exactly(self):
         rng = np.random.default_rng(13)
@@ -321,12 +301,18 @@ class TestPrimalAscent:
             assert report.value == 0.0
             assert report.max_constraint_violation == 0.0
 
-    def test_converges_fast_with_large_steps(self):
-        rng = np.random.default_rng(8)
-        losses = rng.lognormal(0.0, 1.0, 30)
+    def test_makes_one_projection(self, monkeypatch):
+        calls = [0]
+        project = losspool.oracle.project_feasible
+
+        def counted(point, params):
+            calls[0] += 1
+            return project(point, params)
+
+        monkeypatch.setattr(losspool.oracle, "project_feasible", counted)
+        losses = np.random.default_rng(8).lognormal(0.0, 1.0, 30)
         report = maximize_primal(losses, PoolingConfig(p=1.3, m=7.5))
-        assert report.converged
-        assert report.iterations < 50
+        assert calls[0] == report.iterations == 1
 
     def test_requires_finite_p_above_one(self):
         with pytest.raises(ValueError):
@@ -343,20 +329,27 @@ class TestPrimalAscent:
         for k in (-1000, -600, 0, 600, 1000):
             scaled = math.ldexp(1.0, k) * losses
             report = maximize_primal(scaled, config)
-            assert report.converged
             assert report.value == math.ldexp(base, k)
             assert rel_err(solve_pool(scaled, config).pooled_loss, report.value) <= 1e-12
 
-    @pytest.mark.parametrize("p", [200.0, 1.0e6])
+    @pytest.mark.parametrize("p", [200.0, 1.0e3, 1.0e6])
     def test_large_p_meets_the_solver(self, p):
-        """At p = 1e6 the cold start's ``gamma**(p-1)`` underflows to 0."""
-        losses, config = np.array([1.0, 1.0, 1.0]), PoolingConfig(p=p, m=3.0)
-        report = maximize_primal(losses, config)
-        assert report.converged
-        assert rel_err(solve_pool(losses, config).pooled_loss, report.value) <= 1e-12
+        """Pushing a weight below the cap takes a multiplier past float64
+        range at these p unless the projection works in units of the radius.
+        In absolute units 19 of these lognormal draws crashed at p = 200, and
+        all of them at 1e3 and 1e6."""
+        cases = [(np.array([1.0, 1.0, 1.0]), PoolingConfig(p=p, m=3.0))]
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            n = int(rng.integers(2, 51))
+            losses = rng.lognormal(0.0, 1.0, n)
+            cases.append((losses, PoolingConfig(p=p, m=float(rng.uniform(1.0, n)))))
+        for losses, config in cases:
+            report = maximize_primal(losses, config)
+            assert rel_err(solve_pool(losses, config).pooled_loss, report.value) <= 1e-12
 
-    def test_needs_at_most_24_shrink_calls_per_instance(self, monkeypatch):
-        """Each projection starts next to its multiplier, not at ``nu = 0``."""
+    def test_needs_at_most_12_shrink_calls_per_instance(self, monkeypatch):
+        """The projection starts next to its multiplier, not at ``nu = 0``."""
         calls = [0]
         shrink = losspool.oracle._shrink_to_ball_surface
 
@@ -369,15 +362,24 @@ class TestPrimalAscent:
         monkeypatch.setattr(losspool.oracle, "_shrink_to_ball_surface", counted)
         for losses, config in cases:
             maximize_primal(losses, config)
-        # About 13.1; 21.8 at a step of 1e4, and a cold start from nu = 1
-        # with a probe at 0 made 34.3.
-        assert calls[0] <= 24 * len(cases)
+        # About 10.0; a second projection from the first made 13.1, a step
+        # of 1e4 21.8, and a cold start from nu = 1 with a probe at 0 34.3.
+        assert calls[0] <= 12 * len(cases)
 
-    def test_audit_draws_take_a_median_of_two_iterations(self):
-        """At a step of 1e12 the first projection lands on the maximiser."""
-        rng = np.random.default_rng(3)
-        iterations = [maximize_primal(*random_instance(rng)).iterations for _ in range(100)]
-        assert np.median(iterations) <= 2
+    def test_weights_are_the_projection_of_the_far_target(self):
+        """The ascent is one projection, bit for bit.
+
+        A loop that kept projecting while the value rose by more than 1e-12
+        relative reported a later iterate on some of these draws.
+        """
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            losses, config = random_instance(rng)
+            params = config.resolve(losses.size)
+            np.testing.assert_array_equal(
+                maximize_primal(losses, config).weights,
+                project_feasible(far_target(losses, params), params),
+            )
 
     def test_thirty_decade_losses_meet_the_solver(self):
         """Losses spread over 30 decades, at p near 1 and above.
@@ -391,14 +393,12 @@ class TestPrimalAscent:
             losses = 10.0 ** rng.uniform(-30.0, 0.0, n)
             config = PoolingConfig(p=float(rng.choice([1.3, 1.01])), m=float(rng.uniform(1.0, n)))
             report = maximize_primal(losses, config)
-            assert report.converged
             assert rel_err(solve_pool(losses, config).pooled_loss, report.value) <= 1e-12
 
 
 class TestDualScan:
     def test_worked_example(self):
         report = scan_dual_alpha([3.0, 1.0], PoolingConfig(p=2.0, m=1.0))
-        assert report.converged
         np.testing.assert_allclose(report.value, math.sqrt(5.0), rtol=1e-9)
         assert 0.0 <= report.alpha <= 3.0
 
@@ -441,7 +441,7 @@ class TestDualScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.converged
+        assert report.value > 0.0
         assert peak < 32 * 2**20
 
     def test_audit_scan_is_within_rounding_of_the_solver(self):
@@ -479,7 +479,6 @@ class TestOracleAgreement:
             config = PoolingConfig(p=p, m=config.m)
             pooled = solve_pool(losses, config).pooled_loss
             ascent = maximize_primal(losses, config)
-            assert ascent.converged
             assert rel_err(pooled, ascent.value) <= 1e-7
             assert rel_err(pooled, scan_dual_alpha(losses, config).value) <= 1e-14
 

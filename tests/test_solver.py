@@ -433,6 +433,16 @@ class TestLimits:
         assert out.pooled_loss == float(np.mean(losses))
         np.testing.assert_array_equal(out.weights, np.full(33, 1.0 / 33))
 
+    def test_p_infinity_caps_every_loss(self):
+        """Every pixel sits at the cap, so the threshold is 0 and the dual is
+        the losses themselves, whatever ``m`` was asked for."""
+        rng = np.random.default_rng(24)
+        losses = np.append(rng.uniform(0.0, 5.0, 10), 0.0)
+        out = solve_pool(losses, PoolingConfig(p=math.inf, m=2.0))
+        assert out.alpha_star == 0.0
+        np.testing.assert_array_equal(out.support, np.arange(11))
+        np.testing.assert_array_equal(out.dual, losses)
+
     def test_m_equal_n_is_exact_mean(self):
         rng = np.random.default_rng(21)
         losses = rng.uniform(0.0, 5.0, 17)
