@@ -134,27 +134,31 @@ def project_feasible(point: np.ndarray, params: ResolvedPooling) -> np.ndarray:
     coordinate for a multiplier ``nu`` is ``min(gamma * shrink(u, nu), tau)``,
     and the norm of that candidate does not increase in ``nu``.  Narrowing a
     bracket on ``nu`` until the norm meets ``gamma`` yields the exact joint
-    projection (strong duality; the intersection has interior).  In these
-    units the cap is ``tau / gamma = m**(-1/p)``, so the multiplier that
-    pushes an entry down to it stays in float64 range at any p.  The search
-    starts at ``||u||_q / p``, the ball-only multiplier of a far point and an
-    upper end.  An excess > 0 there walks up by 4; otherwise one step down by
-    4 is probed, then ``nu = 0``.  By monotonicity an excess > 0 at any ``nu``
-    already shows the point outside the set, so ``nu = 0`` is probed only
-    when the search walks down to it.  The bracket shrinks by Illinois steps
+    projection (strong duality; the intersection has interior).  The point
+    clipped to the box, the candidate at ``nu = 0``, comes first: inside the
+    ball it is the projection; outside, its excess serves when the search
+    walks down to ``nu = 0``.  In radius units the cap is ``tau / gamma =
+    m**(-1/p)``, so the multiplier that pushes an entry down to it stays in
+    float64 range at any p.  The search starts at ``||u||_q / p``, the
+    ball-only multiplier of a far point and an upper end.  An excess > 0
+    there walks up by 4; otherwise one step down by 4 is probed, then
+    ``nu = 0`` is the lower end.  The bracket shrinks by Illinois steps
     (false position, halving the value at an end kept twice in a row), with
     the midpoint as fallback, down to the relative width ``_BALL_TOL``.  The
     result is the candidate at the upper end, where :func:`stable_qnorm`
     measured the norm at most ``gamma``, so :func:`constraint_violation`
     reads exactly 0 on it.  With ``tau = inf`` this is the projection of a
-    non-negative point onto the p-norm ball alone.  A point already in the
-    set is returned, clipped at 0, before any search.
+    non-negative point onto the p-norm ball alone.  A ``ValueError`` rejects
+    a point outside the set whose ``||v||_q / gamma`` leaves float64 range.
     """
     if not (1.0 < params.p < math.inf):
         raise ValueError(f"projection needs finite p > 1, got {params.p!r}")
     v = np.maximum(np.asarray(point, dtype=np.float64), 0.0)
-    if v.max(initial=0.0) <= params.tau and stable_qnorm(v, params.p) <= params.gamma:
-        return v
+    clipped = np.minimum(v, params.tau)
+    if (f_clipped := stable_qnorm(clipped, params.p) - params.gamma) <= 0.0:
+        return clipped
+    if not math.isfinite(stable_qnorm(v, params.q) / params.gamma):
+        raise ValueError("projection needs a point whose q-norm over gamma is finite")
     u = v / params.gamma
     feasible: np.ndarray  # the candidate at the last multiplier with excess <= 0
 
@@ -170,7 +174,6 @@ def project_feasible(point: np.ndarray, params: ResolvedPooling) -> np.ndarray:
     # Bracket the root, excess > 0 at lo and <= 0 at hi.  Each excess <= 0
     # lowers hi, so ``feasible`` is always the candidate at hi.
     nu0 = stable_qnorm(u, params.q) / params.p
-    nu0 = nu0 if 0.0 < nu0 < math.inf else 1.0
     if (f := excess(nu0)) > 0.0:
         lo, f_lo, hi = nu0, f, nu0 * 4.0
         while (f_hi := excess(hi)) > 0.0:
@@ -178,9 +181,7 @@ def project_feasible(point: np.ndarray, params: ResolvedPooling) -> np.ndarray:
     else:
         hi, f_hi, lo = nu0, f, nu0 / 4.0
         if (f_lo := excess(lo)) <= 0.0:
-            hi, f_hi, lo = lo, f_lo, 0.0
-            if (f_lo := excess(0.0)) <= 0.0:
-                return feasible
+            hi, f_hi, lo, f_lo = lo, f_lo, 0.0, f_clipped
     # ``kept`` is the side (1 = lo, -1 = hi) the last step moved.  A step
     # stays half the stop width inside either end, so a step that lands next
     # to the root closes the bracket on the next evaluation; an exact zero of

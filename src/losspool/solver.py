@@ -309,6 +309,8 @@ def _solve_threshold_scan(s, n, m, q, tau):
         # A c_k <= 0 never passes, as A_k / s_k**q >= 1.  The ratios
         # A_k / s_k**q go into log_powers' buffer, the weights into log_s'.
         hits = counts > np.exp(np.subtract(log_prefix, log_powers, out=log_powers), out=log_powers)
+        # c_k - A_k / s_k**q is one value across a tie group: test its first.
+        hits[..., 1:] &= s[..., 1:] != s[..., :-1]
         stop = np.where(hits.any(axis=-1, keepdims=True), hits.argmax(axis=-1, keepdims=True), N)
         rest = m - (N - stop)  # m - |support| > 0
         pivot = _row_starts(s) + stop - 1

@@ -5,15 +5,15 @@ class distribution: each pixel carries a noisy class-indicator feature
 vector, images are composed of contiguous class regions, and a per-pixel
 linear softmax model is trained on random crops with SGD (momentum plus
 polynomial learning-rate decay).  Three reductions of the per-pixel losses
-are supported:
+are supported, each as a weight per pixel:
 
-* ``uniform`` — the plain mean,
-* ``inverse_median_freq`` — static class weights median(freq)/freq,
-* ``lmp`` — the pooling solver, weighting pixels by the optimal adaptive
-  weights and backpropagating through them.
+* ``uniform`` — the plain mean, weight 1/n,
+* ``inverse_median_freq`` — static class weights median(freq)/freq, over n,
+* ``lmp`` — the pooling solver's optimal adaptive weights.
 
 Each iteration draws its crops one by one, then runs one loss, one segmented
-solve and one gradient pass over them all.
+solve and one gradient pass over them all.  A crop's loss, like its
+gradient, comes from its weights: their dot product with its pixel losses.
 
 Everything is deterministic under the config seed, down to bit-exact loss
 histories, so paired-seed comparisons between reductions are meaningful.
@@ -364,8 +364,9 @@ class TrainConfig:
 class TrainReport:
     """Final evaluation plus the full loss trace of one run.
 
-    ``loss_history`` records the data term only (no weight-decay penalty),
-    one entry per iteration.  ``model_weights`` carries the trained
+    ``loss_history`` holds the data term only (no weight-decay penalty) per
+    iteration: the crops' mean of pixel weights dot pixel losses, for ``lmp``
+    the pooled value up to rounding.  ``model_weights`` carries the trained
     parameters in memory; it is not part of the JSON form (models serialise
     separately via :func:`save_model`).
     """
@@ -500,22 +501,16 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
         result = softmax_xent(SegBatch(logits=np.concatenate(logits), labels=labels))
         bounds = np.cumsum([0, *sizes]).tolist()
         if config.loss_mode == "lmp":
-            outcome = solve_pool(result.losses, config.pooling, sizes=sizes)
-            pixel_weights, crop_losses = outcome.weights, outcome.pooled_loss.tolist()
+            pixel_weights = solve_pool(result.losses, config.pooling, sizes=sizes).weights
         else:
             n = np.repeat(sizes, sizes)
             pixel_weights = 1.0 / n if class_weights is None else class_weights[labels] / n
-            crop_losses = [
-                float(result.losses[a:b].mean() if class_weights is None
-                      else pixel_weights[a:b] @ result.losses[a:b])
-                for a, b in zip(bounds, bounds[1:])
-            ]
         pixel_grad = backprop_pooled(result, pixel_weights)
         # Crop by crop: one matmul over all the crops rounds differently.
         grad, step_loss = np.zeros_like(weights), 0.0
-        for x, a, b, crop_loss in zip(crops, bounds, bounds[1:], crop_losses):
+        for x, a, b in zip(crops, bounds, bounds[1:]):
             grad += x.T @ pixel_grad[a:b]
-            step_loss += crop_loss
+            step_loss += float(pixel_weights[a:b] @ result.losses[a:b])
 
         grad /= config.batch_crops
         step_loss /= config.batch_crops

@@ -213,16 +213,12 @@ def train_per_crop(dataset, config):
             n = labels.size
             if config.loss_mode == "uniform":
                 pixel_weights = np.full(n, 1.0 / n)
-                crop_loss = float(result.losses.mean())
             elif config.loss_mode == "inverse_median_freq":
                 pixel_weights = class_weights[labels] / n
-                crop_loss = float(pixel_weights @ result.losses)
             else:
-                outcome = solve_pool(result.losses, config.pooling)
-                pixel_weights = outcome.weights
-                crop_loss = outcome.pooled_loss
+                pixel_weights = solve_pool(result.losses, config.pooling).weights
             grad += x.T @ backprop_pooled(result, pixel_weights)
-            step_loss += crop_loss
+            step_loss += float(pixel_weights @ result.losses)
             if stats is not None:
                 sampler_module.update_stats(stats, logits.argmax(axis=1), labels)
         grad /= config.batch_crops

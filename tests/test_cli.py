@@ -971,7 +971,7 @@ class TestTrainDemoCommand:
                 b'{\n'
                 b'  "per_class_iou": [0.91245376078914919, 0.15076335877862596, 0],\n'
                 b'  "mean_iou": 0.35440570652259168,\n'
-                b'  "loss_history": [1.0986122886681098, 0.73105891114696531, 0.43971903033280402, 0.2564498157329741, 0.23013223727154664, 0.30035486401646494],\n'
+                b'  "loss_history": [1.09861228866811, 0.73105891114696531, 0.43971903033280396, 0.2564498157329741, 0.23013223727154661, 0.30035486401646488],\n'
             ),
             "inverse_median_freq": (
                 b'{\n'
@@ -983,7 +983,7 @@ class TestTrainDemoCommand:
                 b'{\n'
                 b'  "per_class_iou": [0.95640930919837464, 0.6205607476635514, 0.016666666666666666],\n'
                 b'  "mean_iou": 0.53121224117619759,\n'
-                b'  "loss_history": [1.0986122886681098, 0.81847598238290831, 0.72019246223907418, 0.5191004839058746, 0.47756256951666853, 0.51748813609338284],\n'
+                b'  "loss_history": [1.09861228866811, 0.81847598238290831, 0.72019246223907407, 0.51910048390587449, 0.47756256951666859, 0.51748813609338284],\n'
             ),
         }
         config_echo = (

@@ -93,7 +93,12 @@ class TestFeasibleProjection:
         out = project_feasible(w, params)
         np.testing.assert_allclose(out, w, atol=1e-12)
 
-    def test_feasible_point_makes_no_shrink_call(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "point", [[0.25, -0.5, 0.25, 0.0], [5.0, -0.5, 0.1, 0.0]], ids=["in-set", "clip-in-ball"]
+    )
+    def test_point_whose_clip_is_in_the_ball_makes_no_shrink_call(self, monkeypatch, point):
+        """Clipped to the box, the point lies in the ball: the clip is the
+        projection, returned before any search."""
         calls = [0]
         shrink = losspool.oracle._shrink_to_ball_surface
 
@@ -103,10 +108,19 @@ class TestFeasibleProjection:
 
         monkeypatch.setattr(losspool.oracle, "_shrink_to_ball_surface", counted)
         params = PoolingConfig(p=1.7, m=2.0).resolve(4)
-        point = np.array([0.25, -0.5, 0.25, 0.0])
-        out = project_feasible(point, params)
-        np.testing.assert_array_equal(out, np.maximum(point, 0.0))
+        out = project_feasible(np.array(point), params)
+        np.testing.assert_array_equal(out, np.clip(point, 0.0, params.tau))
         assert calls[0] == 0
+
+    def test_point_near_the_float64_maximum(self):
+        """``||v||_q / gamma`` is about 5e307 at 1e306 and leaves float64
+        range from 1e307 on, where the projection raises."""
+        params = PoolingConfig(p=2.0, m=5.0).resolve(50)
+        out = project_feasible(np.full(50, 1e306), params)
+        np.testing.assert_allclose(out, 0.02, rtol=1e-12)
+        for x in (1e307, 1e308):
+            with pytest.raises(ValueError, match="q-norm over gamma"):
+                project_feasible(np.full(50, x), params)
 
     def test_far_point_projects_inward(self):
         """A point far outside projects onto the ball along its direction.

@@ -313,6 +313,18 @@ class TestReferenceAgreement:
             error = np.abs(out.weights - expected_weights).max()
             assert error <= 1e-14 * expected_weights.max()
 
+    @pytest.mark.parametrize("q", [1e13, 1e15])
+    def test_tied_losses_far_below_the_top(self, q):
+        """Six losses tied 300 decades below the top share one weight: the
+        scan's ratio for them rounds by more than log 2 at such q, and it
+        tests only the first loss of a tie group."""
+        losses, p = [2.0] + [1e-300] * 6, q / (q - 1.0)
+        expected_pooled, _, expected_weights = reference_solve(losses, p, 4.5)
+        out = solve_pool(losses, PoolingConfig(p=p, m=4.5))
+        assert abs(out.pooled_loss - expected_pooled) <= 1e-15 * expected_pooled
+        error = np.abs(out.weights - expected_weights).max()
+        assert error <= 1e-14 * expected_weights.max()
+
     def test_random_instances_match_reference(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
@@ -383,6 +395,21 @@ class TestInvariants:
             ls, ws = losses[order], out.weights[order]
             increase = np.diff(ls) > 0
             assert np.all(np.diff(ws)[increase] >= -1e-12)
+
+    def test_tied_losses_are_all_capped_or_all_under_the_cap(self):
+        """Losses drawn from a few values up to 300 decades apart, zeros
+        among them, with integer and fractional m, at q up to 1e15."""
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            n = int(rng.integers(2, 31))
+            values = np.append(10.0 ** rng.uniform(-300.0, 0.0, 4), 0.0)
+            losses = rng.choice(values, size=n)
+            m = float(rng.integers(1, n + 1)) if rng.random() < 0.5 else rng.uniform(1.0, n)
+            q = 10.0 ** rng.uniform(0.1, 15.0)
+            out = solve_pool(losses, PoolingConfig(p=q / (q - 1.0), m=m))
+            capped = np.isin(np.arange(n), out.support)
+            for value in np.unique(losses):
+                assert np.unique(capped[losses == value]).size == 1, (losses, q, m)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(15)

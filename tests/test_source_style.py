@@ -103,3 +103,14 @@ def test_sampler_makes_no_call_to_builtin_sum():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
     ]
     assert not calls, calls
+
+
+def test_trainer_reads_no_pooled_loss():
+    """Each crop's loss is the weighted sum of its pixel losses, taken from
+    the weights every reduction makes, not a second per-mode formula."""
+    tree = ast.parse((PACKAGE / "trainer.py").read_text())
+    reads = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "pooled_loss"
+    ]
+    assert not reads, reads
