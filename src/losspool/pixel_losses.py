@@ -78,18 +78,31 @@ def softmax_xent(batch: SegBatch) -> PixelLossResult:
     returned losses are clamped at zero: in exact arithmetic
     ``logsumexp(z) >= z[label]`` always, and the clamp removes the one-ulp
     negatives rounding can produce on saturated pixels.
+
+    Class-major: the max and the sum over the classes are elementwise passes
+    over the rows of ``logits.T``, and the label entries sit at the flat
+    indices ``label * n + pixel``.  Below 8 classes that gives the bits of
+    numpy's per-row ``max`` and ``sum``; from 8 on, where numpy's row sum is
+    pairwise, the losses move by at most 8 eps of ``max(1, loss)`` and the
+    gradients, returned C-contiguous, by at most 2e-15.
     """
-    z = batch.logits - batch.logits.max(axis=1, keepdims=True)
+    logits = batch.logits.T.copy()
+    n = logits.shape[1]
+    top = logits[0].copy()
+    for row in logits[1:]:
+        np.maximum(top, row, out=top)
+    z = np.subtract(logits, top, out=logits)
     ez = np.exp(z)
-    sum_ez = ez.sum(axis=1)
+    sum_ez = ez[0].copy()
+    for row in ez[1:]:
+        sum_ez += row
 
-    labels = np.asarray(batch.labels, dtype=np.intp)
-    rows = np.arange(labels.size)
-    losses = np.maximum(np.log(sum_ez) - z[rows, labels], 0.0)
+    at_label = np.asarray(batch.labels, dtype=np.intp) * n + np.arange(n)
+    losses = np.maximum(np.log(sum_ez) - z.ravel()[at_label], 0.0)
 
-    grad = ez / sum_ez[:, None]
-    grad[rows, labels] -= 1.0
-    return PixelLossResult(losses=losses, per_pixel_logit_grad=grad)
+    ez /= sum_ez
+    ez.ravel()[at_label] -= 1.0
+    return PixelLossResult(losses=losses, per_pixel_logit_grad=ez.T.copy())
 
 
 def backprop_pooled(result: PixelLossResult, pooled_weights) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
@@ -189,9 +190,8 @@ def sample_class(
         raise ValueError("probabilities are not non-negative")
     if abs(total - 1.0) > _SUM_TOLERANCE:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
-    u = rng.random()
-    # The last entry divides to exactly 1, above any u in [0, 1).
-    return next(k for k, c in enumerate(cdf) if c / total > u)
+    # The last entry divides to exactly 1, above any draw in [0, 1).
+    return bisect_right([c / total for c in cdf], rng.random())
 
 
 class CropAnchor(NamedTuple):
@@ -250,5 +250,5 @@ def pick_crop(index: CropIndex, class_id: int, rng: np.random.Generator) -> Crop
             col=int(rng.integers(w)),
             fallback=True,
         )
-    image, row, col = spots[int(rng.integers(len(spots)))]
-    return CropAnchor(image=int(image), row=int(row), col=int(col), fallback=False)
+    image, row, col = spots[int(rng.integers(len(spots)))].tolist()
+    return CropAnchor(image, row, col, False)

@@ -180,7 +180,8 @@ def solve_pool(losses, config: PoolingConfig, sizes=None) -> SolveOutcome:
 
     ``sizes`` splits the losses into consecutive segments of ``sizes[b]``
     losses, each pooled on its own, bit for bit as by its own call, with
-    ``m`` resolved against its own length.  ``pooled_loss`` and
+    ``m`` resolved against its own length (segments of equal length share
+    one resolved parameter set).  ``pooled_loss`` and
     ``alpha_star`` are then arrays with one entry per segment; ``weights``,
     ``dual`` and ``support`` stay indexed like ``losses``.  The segments are
     padded to the longest: ``len(sizes) * max(sizes)`` losses.
@@ -196,21 +197,27 @@ def solve_pool(losses, config: PoolingConfig, sizes=None) -> SolveOutcome:
             raise ValueError(
                 f"sizes must be positive integers summing to len(losses), got {sizes!r}"
             )
-        n = n[:, None]
-        # One row per segment, right-aligned behind zero padding that the
-        # stable sort puts before every loss; the row parameters are columns.
-        rows = [config.resolve(size) for size in n.ravel().tolist()]
+        lengths, n = n.tolist(), n[:, None]
+        longest = max(lengths)
+        # One row per segment, right-aligned behind zero padding that sorts
+        # before every positive loss; the row parameters are columns.
+        resolved = {size: config.resolve(size) for size in dict.fromkeys(lengths)}
+        rows = [resolved[size] for size in lengths]
         m, q, tau = np.array([[r.m] for r in rows]), rows[0].q, np.array([[r.tau] for r in rows])
-        keep = (np.arange(n.max()) >= n.max() - n).ravel()
-        padded = np.zeros((n.size, n.max()))
+        keep = (np.arange(longest) >= longest - n).ravel()
+        padded = np.zeros((n.size, longest))
         padded.ravel()[keep] = values
     N = padded.shape[-1]
-    # Flat positions of each row's losses in ascending order.
-    order = np.argsort(padded, axis=-1, kind="stable")
+    # Routed on p, as q is also 1.0 for finite p >= 2**53.
+    hard_top = config.p in (1.0, math.inf)
+    # Flat positions of each row's losses in ascending order.  The top-m path
+    # splits a tie group by position, so it sorts stably (padding first).  The
+    # scan stops at a tie group's first loss and weighs tied losses alike, so
+    # the order within a tie group cannot change its result.
+    order = np.argsort(padded, axis=-1, kind="stable" if hard_top else "quicksort")
     order += _row_starts(padded)
     s = padded.ravel()[order]
-    # Routed on p, as q is also 1.0 for finite p >= 2**53.
-    solve = _solve_hard_top if config.p in (1.0, math.inf) else _solve_threshold_scan
+    solve = _solve_hard_top if hard_top else _solve_threshold_scan
     stop, alpha, below, shrunk = solve(s, n, m, q, tau)
     capped = np.arange(N) >= stop
     # The cap equals the uniform weight 1/n here, so the optimum is the plain
@@ -313,10 +320,11 @@ def _solve_threshold_scan(s, n, m, q, tau):
         hits[..., 1:] &= s[..., 1:] != s[..., :-1]
         stop = np.where(hits.any(axis=-1, keepdims=True), hits.argmax(axis=-1, keepdims=True), N)
         rest = m - (N - stop)  # m - |support| > 0
+        log_rest = _each(math.log, rest)
         pivot = _row_starts(s) + stop - 1
         log_a = np.where(stop > 0, log_prefix.ravel()[pivot], -np.inf)
         del log_prefix, hits
-        log_alpha = (log_a - _each(math.log, rest)) / q
+        log_alpha = (log_a - log_rest) / q
         ratio = _each(math.exp, log_alpha)  # alpha / top
         s_k = s.ravel()[pivot]
         log_s -= log_s.ravel()[pivot]
@@ -326,7 +334,7 @@ def _solve_threshold_scan(s, n, m, q, tau):
         # exp() may overflow above the pivot, past where rho is read.
         rho = np.exp(np.multiply(log_s, q, out=log_powers), out=log_powers)
         rho = np.cumsum(rho, axis=-1, out=rho).ravel()[pivot]
-        log_s += (_each(math.log, rest) - _each(math.log, rho)) / q
+        log_s += (log_rest - _each(math.log, rho)) / q
         log_s *= q - 1.0
         shrunk = np.multiply(np.exp(log_s, out=log_s), tau, out=log_s)
         shrunk[s <= 0] = 0.0

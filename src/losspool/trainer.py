@@ -30,6 +30,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +70,7 @@ LOSS_MODES = ("uniform", "inverse_median_freq", "lmp")
 
 
 class TrainingDivergence(RuntimeError):
-    """Raised when the optimisation produces a non-finite loss or weights."""
+    """Raised when the optimisation produces non-finite logits, loss or weights."""
 
 
 def as_integer(value) -> int:
@@ -451,7 +452,7 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
     reduce each crop's losses according to ``loss_mode``, backpropagate
     through the per-pixel weighting, and take one optimiser step with
     poly-decayed learning rate.  Raises :class:`TrainingDivergence` on
-    non-finite loss or parameters.
+    non-finite logits, loss or parameters.
     """
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -478,54 +479,62 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
     if config.sampler is not None:
         stats = ClassStats(num_classes)
         crop_index = CropIndex.from_labels(train_labels)
+    # The crop window of each anchor row and column.
+    row_windows = [slice(*_clipped_window(row, ch, h)) for row in range(h)]
+    col_windows = [slice(*_clipped_window(col, cw, w)) for col in range(w)]
 
     loss_history: list[float] = []
-    for iteration in range(config.iterations):
-        lr = poly_lr(config.lr0, config.poly_power, iteration, config.iterations)
-        crops, logits, labels = [], [], []
-        for _ in range(config.batch_crops):
-            if stats is not None:
-                anchor_class = sample_class(stats, config.sampler, rng)
-                img, row, col, _ = pick_crop(crop_index, anchor_class, rng)
+    # Overflow shows as non-finite logits, loss or weights, each checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(config.iterations):
+            lr = poly_lr(config.lr0, config.poly_power, iteration, config.iterations)
+            crops, logits, labels = [], [], []
+            for _ in range(config.batch_crops):
+                if stats is not None:
+                    anchor_class = sample_class(stats, config.sampler, rng)
+                    img, row, col, _ = pick_crop(crop_index, anchor_class, rng)
+                else:
+                    img, row, col = (int(rng.integers(k)) for k in (train_idx.size, h, w))
+                rows, cols = row_windows[row], col_windows[col]
+                crops.append(inputs[img, rows, cols].reshape(-1, inputs.shape[-1]))
+                logits.append(crops[-1] @ weights)
+                labels.append(train_labels[img, rows, cols].reshape(-1))
+                if stats is not None:
+                    update_stats(stats, logits[-1].argmax(axis=1), labels[-1])
+
+            sizes = [x.shape[0] for x in crops]
+            labels, logits = np.concatenate(labels), np.concatenate(logits)
+            if not np.isfinite(logits).all():
+                raise TrainingDivergence(f"non-finite logits at iteration {iteration}")
+            result = softmax_xent(SegBatch(logits=logits, labels=labels))
+            if not np.isfinite(result.losses).all():
+                raise TrainingDivergence(f"non-finite pixel loss at iteration {iteration}")
+            bounds = list(accumulate(sizes, initial=0))
+            if config.loss_mode == "lmp":
+                pixel_weights = solve_pool(result.losses, config.pooling, sizes=sizes).weights
             else:
-                img, row, col = (int(rng.integers(k)) for k in (train_idx.size, h, w))
-            rows, cols = slice(*_clipped_window(row, ch, h)), slice(*_clipped_window(col, cw, w))
-            crops.append(inputs[img, rows, cols].reshape(-1, inputs.shape[-1]))
-            logits.append(crops[-1] @ weights)
-            labels.append(train_labels[img, rows, cols].reshape(-1))
-            if stats is not None:
-                update_stats(stats, logits[-1].argmax(axis=1), labels[-1])
+                n = np.repeat(sizes, sizes)
+                pixel_weights = 1.0 / n if class_weights is None else class_weights[labels] / n
+            pixel_grad = backprop_pooled(result, pixel_weights)
+            # Crop by crop: one matmul over all the crops rounds differently.
+            grad, step_loss = np.zeros_like(weights), 0.0
+            for x, a, b in zip(crops, bounds, bounds[1:]):
+                grad += x.T @ pixel_grad[a:b]
+                step_loss += float(pixel_weights[a:b] @ result.losses[a:b])
 
-        sizes = [x.shape[0] for x in crops]
-        labels = np.concatenate(labels)
-        result = softmax_xent(SegBatch(logits=np.concatenate(logits), labels=labels))
-        bounds = np.cumsum([0, *sizes]).tolist()
-        if config.loss_mode == "lmp":
-            pixel_weights = solve_pool(result.losses, config.pooling, sizes=sizes).weights
-        else:
-            n = np.repeat(sizes, sizes)
-            pixel_weights = 1.0 / n if class_weights is None else class_weights[labels] / n
-        pixel_grad = backprop_pooled(result, pixel_weights)
-        # Crop by crop: one matmul over all the crops rounds differently.
-        grad, step_loss = np.zeros_like(weights), 0.0
-        for x, a, b in zip(crops, bounds, bounds[1:]):
-            grad += x.T @ pixel_grad[a:b]
-            step_loss += float(pixel_weights[a:b] @ result.losses[a:b])
-
-        grad /= config.batch_crops
-        step_loss /= config.batch_crops
-        if not math.isfinite(step_loss):
-            raise TrainingDivergence(
-                f"non-finite loss {step_loss!r} at iteration {iteration}"
-            )
-        if config.weight_decay:
-            grad[:-1] += config.weight_decay * weights[:-1]  # bias row exempt
-        with np.errstate(over="ignore", invalid="ignore"):
+            grad /= config.batch_crops
+            step_loss /= config.batch_crops
+            if not math.isfinite(step_loss):
+                raise TrainingDivergence(
+                    f"non-finite loss {step_loss!r} at iteration {iteration}"
+                )
+            if config.weight_decay:
+                grad[:-1] += config.weight_decay * weights[:-1]  # bias row exempt
             velocity = config.momentum * velocity - lr * grad
             weights = weights + velocity
-        if not np.all(np.isfinite(weights)):
-            raise TrainingDivergence(f"non-finite weights at iteration {iteration}")
-        loss_history.append(step_loss)
+            if not np.isfinite(weights).all():
+                raise TrainingDivergence(f"non-finite weights at iteration {iteration}")
+            loss_history.append(step_loss)
 
     per_class_iou, mean_iou = evaluate(weights, dataset, dataset.eval_indices)
     return TrainReport(

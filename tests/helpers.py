@@ -129,6 +129,22 @@ def dual_path_value(alpha, values, params):
     )
 
 
+def softmax_xent_row_major(logits, labels):
+    """Softmax cross entropy with numpy's per-pixel max and sum over each row.
+
+    The reference for :func:`losspool.pixel_losses.softmax_xent`, which
+    works class-major.  Returns ``(losses, per_pixel_logit_grad)``.
+    """
+    z = logits - logits.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    sum_ez = ez.sum(axis=1)
+    rows = np.arange(labels.size)
+    losses = np.maximum(np.log(sum_ez) - z[rows, labels], 0.0)
+    grad = ez / sum_ez[:, None]
+    grad[rows, labels] -= 1.0
+    return losses, grad
+
+
 def confusion_iou_numpy(confusion):
     """The IoU of a confusion matrix on numpy arrays: the reference for
     :func:`losspool.sampler.confusion_iou`, which adds rows and columns left

@@ -900,15 +900,24 @@ class TestTrainDemoCommand:
         assert code == 0
         assert "beats" not in out
 
-    def test_divergence_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "config_doc,extra",
+        [
+            ({"train": {"lr0": 1e200, "iterations": 5}}, ["--modes", "uniform"]),
+            ({"train": {"iterations": 5}}, ["--modes", "uniform,lmp", "--sigma", "1e200"]),
+        ],
+        ids=["huge-lr", "huge-sigma"],
+    )
+    def test_divergence_exits_1(self, tmp_path, capsys, config_doc, extra):
         config = tmp_path / "demo.json"
-        config.write_text(json.dumps({"train": {"lr0": 1e200, "iterations": 5}}))
+        config.write_text(json.dumps(config_doc))
         code = main(
-            ["train-demo", "--seeds", "1", "--modes", "uniform",
+            ["train-demo", "--seeds", "1", *extra,
              "--config", str(config), "--output-dir", str(tmp_path)]
         )
+        err = capsys.readouterr().err
         assert code == 1
-        assert "training failed" in capsys.readouterr().err
+        assert err.startswith("losspool: training failed:")
 
     @pytest.mark.parametrize(
         "config_doc,fragment",

@@ -7,6 +7,7 @@ gradient is softmax(z) - onehot(y).
 
 import numpy as np
 import pytest
+from helpers import softmax_xent_row_major
 
 from losspool.pixel_losses import PixelLossResult, SegBatch, backprop_pooled, softmax_xent
 from losspool.solver import PoolingConfig, solve_pool
@@ -111,6 +112,62 @@ class TestSoftmaxXent:
                 assert result.per_pixel_logit_grad[pixel, cls] == pytest.approx(
                     fd, abs=1e-8
                 )
+
+
+def logit_draws(classes, seed, pixels=1000):
+    """Random, saturated (entries of -700, 0 and 700) and tied (integers in
+    [-2, 2]) logits, with random labels."""
+    rng = np.random.default_rng(seed)
+    shape = (pixels, classes)
+    draws = {
+        "random": rng.normal(0.0, 3.0, size=shape),
+        "saturated": rng.choice([-700.0, 0.0, 700.0], size=shape),
+        "tied": rng.integers(-2, 3, size=shape).astype(np.float64),
+    }
+    return draws, rng.integers(0, classes, size=pixels)
+
+
+class TestClassMajorOrder:
+    """``softmax_xent`` against the row-major formula: the same bits below 8
+    classes, where numpy sums each row left to right, and a bounded drift
+    from 8 on, where numpy's row sum is pairwise."""
+
+    @pytest.mark.parametrize("kind", ["random", "saturated", "tied"])
+    @pytest.mark.parametrize("classes", range(2, 8))
+    def test_bit_identical_below_8_classes(self, classes, kind):
+        draws, labels = logit_draws(classes, seed=classes)
+        result = softmax_xent(SegBatch(logits=draws[kind], labels=labels))
+        losses, grad = softmax_xent_row_major(draws[kind], labels)
+        assert result.losses.tobytes() == losses.tobytes()
+        assert result.per_pixel_logit_grad.tobytes() == grad.tobytes()
+        # The trainer's per-crop matmul rounds by the gradient's layout.
+        assert result.per_pixel_logit_grad.flags.c_contiguous
+
+    @pytest.mark.parametrize("classes", range(8, 34))
+    def test_drift_is_bounded_from_8_classes(self, classes):
+        draws, labels = logit_draws(classes, seed=classes)
+        eps = np.finfo(np.float64).eps
+        for logits in draws.values():
+            result = softmax_xent(SegBatch(logits=logits, labels=labels))
+            losses, grad = softmax_xent_row_major(logits, labels)
+            drift = np.abs(result.losses - losses)
+            assert np.all(drift <= 8 * eps * np.maximum(1.0, losses))
+            assert np.max(np.abs(result.per_pixel_logit_grad - grad)) <= 2e-15
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int16])
+    def test_narrow_label_types_index_every_pixel(self, dtype):
+        # label * pixels overflows these types; 1000 pixels, 5 classes.
+        draws, labels = logit_draws(5, seed=4)
+        wide = softmax_xent(SegBatch(logits=draws["random"], labels=labels))
+        narrow = softmax_xent(SegBatch(logits=draws["random"], labels=labels.astype(dtype)))
+        assert narrow.losses.tobytes() == wide.losses.tobytes()
+        assert narrow.per_pixel_logit_grad.tobytes() == wide.per_pixel_logit_grad.tobytes()
+
+    def test_leaves_the_batch_logits_alone(self):
+        # One pixel: logits.T is contiguous, so a view would be written to.
+        logits = np.array([[3.0, -1.0, 0.5]])
+        softmax_xent(SegBatch(logits=logits, labels=[1]))
+        assert logits.tolist() == [[3.0, -1.0, 0.5]]
 
 
 class TestBackpropPooled:

@@ -409,7 +409,10 @@ class TestInvariants:
             out = solve_pool(losses, PoolingConfig(p=q / (q - 1.0), m=m))
             capped = np.isin(np.arange(n), out.support)
             for value in np.unique(losses):
-                assert np.unique(capped[losses == value]).size == 1, (losses, q, m)
+                tied = losses == value
+                assert np.unique(capped[tied]).size == 1, (losses, q, m)
+                # So the order of a tie group after the sort cannot matter.
+                assert np.unique(out.weights[tied]).size == 1, (losses, q, m)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(15)

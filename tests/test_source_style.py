@@ -114,3 +114,14 @@ def test_trainer_reads_no_pooled_loss():
         if isinstance(node, ast.Attribute) and node.attr == "pooled_loss"
     ]
     assert not reads, reads
+
+
+def test_pixel_losses_passes_no_axis_to_numpy():
+    """``softmax_xent`` takes its max and sum over the classes as elementwise
+    passes in its own order, off numpy's per-row loops."""
+    tree = ast.parse((PACKAGE / "pixel_losses.py").read_text())
+    calls = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(k.arg == "axis" for k in node.keywords)
+    ]
+    assert not calls, calls

@@ -569,10 +569,26 @@ class TestTrain:
         report = train(dataset, TrainConfig(loss_mode=mode, iterations=40, seed=0))
         assert report.loss_history[-1] < report.loss_history[0]
 
-    def test_divergence_raises(self):
-        dataset = generate_dataset(small_spec())
-        config = TrainConfig(loss_mode="uniform", lr0=1e200, iterations=5)
-        with pytest.raises(TrainingDivergence):
+    @pytest.mark.parametrize(
+        "spec_overrides,train_overrides",
+        [({}, {"lr0": 1e200}), ({"feature_noise": 1e200}, {})],
+        ids=["huge-lr", "huge-features"],
+    )
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    def test_divergence_raises(self, spec_overrides, train_overrides, mode):
+        # Huge features give finite weights after the first step and logits
+        # past the float64 range after it: the step names the iteration.
+        dataset = generate_dataset(small_spec(**spec_overrides))
+        config = TrainConfig(loss_mode=mode, iterations=5, **train_overrides)
+        with pytest.raises(TrainingDivergence, match="at iteration"):
+            train(dataset, config)
+
+    def test_pixel_loss_past_float64_raises(self):
+        # Finite logits whose spread over the classes overflows: the pixel
+        # loss is inf, which the solver would reject as a bad loss vector.
+        dataset = generate_dataset(SyntheticDatasetSpec(seed=101, feature_noise=1e154))
+        config = TrainConfig(loss_mode="lmp", iterations=5, seed=1)
+        with pytest.raises(TrainingDivergence, match="non-finite pixel loss at iteration 2"):
             train(dataset, config)
 
     def test_empty_split_rejected(self):
