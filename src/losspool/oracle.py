@@ -86,7 +86,7 @@ class OracleReport:
 
 
 def stable_qnorm(x: np.ndarray, q: float) -> float:
-    """``||x||_q`` for finite ``q >= 1``, scaled to avoid overflow/underflow."""
+    """``||x||_q`` for ``q >= 1`` (the max-norm at ``inf``), scaled to avoid overflow/underflow."""
     ax = np.abs(np.asarray(x, dtype=np.float64))
     top = float(ax.max(initial=0.0))
     if top == 0.0:
@@ -290,12 +290,10 @@ def scan_dual_alpha(losses, config: PoolingConfig) -> OracleReport:
     decreases in alpha: the objective falls, then rises, so each refinement
     keeps the minimiser, and a missed minimum can only read high.  Reports
     the smallest value seen (the pooled value), its alpha and the points
-    evaluated.  Requires ``p > 1``.
+    evaluated.
     """
     values = as_loss_vector(losses)
     params = config.resolve(values.size)
-    if math.isinf(params.q):
-        raise ValueError("scan_dual_alpha needs p > 1 (finite conjugate exponent)")
 
     top = float(values.max())
     lo, hi = 0.0, top
@@ -322,8 +320,6 @@ def kkt_residual(lam, losses, config: PoolingConfig) -> float:
     """Sup-norm residual of the dual fixed point ``lam = max(l - m**(-1/q) * ||l - lam||_q, 0)``."""
     values = as_loss_vector(losses)
     params = config.resolve(values.size)
-    if math.isinf(params.q):
-        raise ValueError("kkt_residual needs p > 1 (finite conjugate exponent)")
     lam_arr = np.asarray(lam, dtype=np.float64)
     if lam_arr.shape != values.shape:
         raise ValueError("lam and losses must have the same shape")

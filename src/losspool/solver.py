@@ -155,14 +155,14 @@ class SolveOutcome:
     dual : optimal dual vector ``max(l - alpha_star, 0)``.
     """
 
-    pooled_loss: float | np.ndarray
-    alpha_star: float | np.ndarray
+    pooled_loss: float
+    alpha_star: float
     support: np.ndarray
     weights: np.ndarray
     dual: np.ndarray
 
 
-def solve_pool(losses, config: PoolingConfig, sizes=None) -> SolveOutcome:
+def solve_pool(losses, config: PoolingConfig, sizes=None) -> SolveOutcome | np.ndarray:
     """Maximise the weighted loss over the pooling family.
 
     For ``p = 1`` the ``floor(m)`` largest losses are capped and the
@@ -179,18 +179,18 @@ def solve_pool(losses, config: PoolingConfig, sizes=None) -> SolveOutcome:
     and the weights stay finite.
 
     ``sizes`` splits the losses into consecutive segments of ``sizes[b]``
-    losses, each pooled on its own, bit for bit as by its own call, with
-    ``m`` resolved against its own length (segments of equal length share
-    one resolved parameter set).  ``pooled_loss`` and
-    ``alpha_star`` are then arrays with one entry per segment; ``weights``,
-    ``dual`` and ``support`` stay indexed like ``losses``.  The segments are
-    padded to the longest: ``len(sizes) * max(sizes)`` losses.
+    losses, each pooled on its own with ``m`` resolved against its own
+    length (segments of equal length share one resolved parameter set).  The
+    call then returns only the weights, a float64 array indexed like
+    ``losses`` whose slice for each segment is bit for bit the ``weights`` of
+    that segment's own call.  The segments are padded to the longest:
+    ``len(sizes) * max(sizes)`` losses.
     """
     values = as_loss_vector(losses)
     if sizes is None:
         # One row: the loss vector itself, with scalar parameters.
         params = config.resolve(values.size)
-        n, m, q, tau, padded, keep = values.size, params.m, params.q, params.tau, values, None
+        n, m, q, tau, padded = values.size, params.m, params.q, params.tau, values
     else:
         n = np.array(sizes)
         if n.ndim != 1 or n.dtype.kind not in "iu" or (n < 1).any() or n.sum() != values.size:
@@ -224,40 +224,29 @@ def solve_pool(losses, config: PoolingConfig, sizes=None) -> SolveOutcome:
     # mean; computing it directly keeps the upper bound exact at the
     # boundary and the weights exactly uniform.
     mean = (s[..., -1:] > 0) & (m == n)
-    weights, in_support = np.empty(padded.size), np.empty(padded.size, dtype=bool)
+    weights = np.empty(padded.size)
     np.copyto(shrunk, tau, where=capped | mean)
     weights[order] = shrunk
+    if sizes is not None:
+        return weights[keep]
+    in_support = np.empty(N, dtype=bool)
     in_support[order] = capped
     del order, shrunk
-    dual = padded - alpha
-    dual = np.maximum(dual, 0.0, out=dual).ravel()
-    if keep is not None:
-        weights, in_support, dual = weights[keep], in_support[keep], dual[keep]
+    dual = values - alpha
+    np.maximum(dual, 0.0, out=dual)
     support = np.flatnonzero(in_support)
-    # Scaling by tau (the support's weight) first keeps every partial sum
-    # below the largest loss (tau * |support| <= 1), so it cannot overflow.
-    scaled = values[support] * weights[support]
-    pooled, start, first = [], 0, 0
-    for size, count, share, top, is_mean in zip(
-        np.ravel(n).tolist(), (N - stop).ravel().tolist(), below.ravel().tolist(),
-        s[..., -1].ravel().tolist(), mean.ravel().tolist(),
-    ):
-        if is_mean:
-            # The mean is taken on losses scaled down by a power of two only
-            # when their sum could pass the float64 maximum, so it cannot
-            # overflow and keeps its bytes everywhere else.
-            k = max(0, math.frexp(top)[1] + (size - 1).bit_length() - 1024)
-            pooled.append(math.ldexp(float(np.ldexp(values[start:start + size], -k).mean()), k))
-        else:
-            # Each segment's own sum over its support, in index order.
-            pooled.append(float(scaled[first:first + count].sum()) + share)
-        start, first = start + size, first + count
+    if mean[0]:
+        # The mean is taken on losses scaled down by a power of two only when
+        # their sum could pass the float64 maximum, so it cannot overflow and
+        # keeps its bytes everywhere else.
+        k = max(0, math.frexp(s[-1])[1] + (n - 1).bit_length() - 1024)
+        pooled = math.ldexp(float(np.ldexp(values, -k).mean()), k)
+    else:
+        # Scaling by tau (the support's weight) first keeps every partial sum
+        # below the largest loss (tau * |support| <= 1), so it cannot overflow.
+        pooled = float((values[support] * weights[support]).sum()) + float(below[0])
     return SolveOutcome(
-        pooled_loss=pooled[0] if sizes is None else np.array(pooled),
-        alpha_star=float(alpha[0]) if sizes is None else alpha.ravel(),
-        support=support,
-        weights=weights,
-        dual=dual,
+        pooled_loss=pooled, alpha_star=float(alpha[0]), support=support, weights=weights, dual=dual
     )
 
 

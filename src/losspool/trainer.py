@@ -511,7 +511,7 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> TrainReport:
                 raise TrainingDivergence(f"non-finite pixel loss at iteration {iteration}")
             bounds = list(accumulate(sizes, initial=0))
             if config.loss_mode == "lmp":
-                pixel_weights = solve_pool(result.losses, config.pooling, sizes=sizes).weights
+                pixel_weights = solve_pool(result.losses, config.pooling, sizes=sizes)
             else:
                 n = np.repeat(sizes, sizes)
                 pixel_weights = 1.0 / n if class_weights is None else class_weights[labels] / n

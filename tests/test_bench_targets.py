@@ -6,7 +6,7 @@ renames one of them would otherwise show up only in a benchmark run.
 ``spans.py`` imports only the standard library, so it is loaded here
 straight from its file; the other scripts are only parsed.  A short traced
 ``train-demo`` and ``oracle-audit`` check that the tracer can time and count
-every sampler and oracle layer, as a traced benchmark run would.
+every sampler, solver and oracle layer, as a traced benchmark run would.
 """
 
 import ast
@@ -55,16 +55,19 @@ def test_a_traced_demo_times_and_counts_every_sampler_layer(tmp_path, capsys):
     config.write_text(json.dumps({"train": {"sampler": {"blend": 0.5, "epsilon": 0.01}}}))
     tracer = load_spans().Tracer()
     with tracer.installed():
-        code = main(["train-demo", "--seeds", "1", "--modes", "uniform", "--iterations", "1",
+        code = main(["train-demo", "--seeds", "1", "--modes", "uniform,lmp", "--iterations", "1",
                      "--config", str(config), "--output-dir", str(tmp_path / "out")])
     tracer.drain()
     assert code == 0
     layers = ["trainer.train", "sampler.sample_class", "sampler.pick_crop",
-              "sampler.update_stats"]
+              "sampler.update_stats", "solver.solve_pool"]
     assert tracer.problems(layers) == []
+    assert tracer.totals["solver.solve_pool"][0] == 1  # one segmented solve per lmp iteration
     crops = tracer.totals["sampler.update_stats"][0]
     assert crops == tracer.totals["sampler.sample_class"][0] == tracer.counts["sampler.picks"]
-    assert tracer.counts["sampler.iou_history_len"] == crops > 0
+    # The longest IoU history is one run's crops; there is one run per mode.
+    runs = tracer.totals["trainer.train"][0]
+    assert runs == 2 and tracer.counts["sampler.iou_history_len"] * runs == crops > 0
 
 
 def test_a_traced_audit_times_and_counts_every_oracle_layer(tmp_path, capsys):

@@ -41,6 +41,19 @@ def random_params(rng, n=None):
     return PoolingConfig(p=p, m=m).resolve(n)
 
 
+def p_one_instances(seed):
+    """200 audit draws at p = 1, every fifth with zeros mixed in, then
+    subnormal losses and losses near the float64 maximum (summing below it)."""
+    rng = np.random.default_rng(seed)
+    for i in range(200):
+        losses, config = random_instance(rng)
+        if i % 5 == 0:
+            losses[rng.random(losses.size) < 0.3] = 0.0
+        yield losses, PoolingConfig(p=1.0, m=config.m)
+    yield np.array([5e-324, 3e-320, 0.0, 2.2e-308, 1e-310]), PoolingConfig(p=1.0, m=2.5)
+    yield np.array([8e307, 1e307, 8e307, 5e306]), PoolingConfig(p=1.0, m=1.5)
+
+
 def ball(p, n, radius):
     """Projection parameters of the p-norm ball alone: the cap lifted."""
     return PoolingConfig(p=p, m=1.0).resolve(n)._replace(gamma=radius, tau=math.inf)
@@ -421,9 +434,13 @@ class TestDualScan:
         assert report.value == 0.0
         assert report.alpha == 0.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            scan_dual_alpha([1.0, 2.0], PoolingConfig(p=1.0, m=1.0))
+    def test_p_one_meets_the_solver(self):
+        """At q = inf the grid's q-norm is the max-norm exactly."""
+        for losses, config in p_one_instances(11):
+            pooled = solve_pool(losses, config).pooled_loss
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                scan = scan_dual_alpha(losses, config)
+            assert rel_err(pooled, scan.value) <= 1e-14
 
     @staticmethod
     def grid_cases():
@@ -568,13 +585,18 @@ class TestKkt:
             out = solve_pool(losses, config)
             assert kkt_residual(out.dual / scale, losses / scale, config) < 1e-9
 
+    def test_p_one_optima_pass_normalized(self):
+        for losses, config in p_one_instances(12):
+            scale = losses.max()
+            if scale == 0.0:
+                continue
+            out = solve_pool(losses, config)
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                assert kkt_residual(out.dual / scale, losses / scale, config) <= 1e-15
+
     def test_validation(self):
-        cfg = PoolingConfig(p=1.0, m=1.0)
         with pytest.raises(ValueError):
-            kkt_residual([0.0], [1.0], cfg)
-        cfg2 = PoolingConfig(p=2.0, m=1.0)
-        with pytest.raises(ValueError):
-            kkt_residual([0.0, 0.0], [1.0], cfg2)
+            kkt_residual([0.0, 0.0], [1.0], PoolingConfig(p=2.0, m=1.0))
 
 
 class TestAudit:

@@ -565,7 +565,7 @@ def assert_same_bits(actual, expected):
 
 
 class TestSegmentedSolve:
-    """``solve_pool(x, c, sizes=s)`` is the per-segment calls, bit for bit."""
+    """``solve_pool(x, c, sizes=s)`` is the per-segment calls' weights, bit for bit."""
 
     SEGMENTS = [
         [3.0],  # a single pixel
@@ -581,18 +581,8 @@ class TestSegmentedSolve:
     def assert_matches_per_segment(segments, config):
         sizes = [len(segment) for segment in segments]
         batched = solve_pool(np.concatenate(segments), config, sizes=sizes)
-        assert batched.pooled_loss.shape == batched.alpha_star.shape == (len(segments),)
-        start, supports = 0, []
-        for b, segment in enumerate(segments):
-            single = solve_pool(segment, config)
-            end = start + len(segment)
-            assert_same_bits(batched.pooled_loss[b], single.pooled_loss)
-            assert_same_bits(batched.alpha_star[b], single.alpha_star)
-            assert_same_bits(batched.weights[start:end], single.weights)
-            assert_same_bits(batched.dual[start:end], single.dual)
-            supports.append(single.support + start)
-            start = end
-        assert_same_bits(batched.support, np.concatenate(supports))
+        single = [solve_pool(segment, config).weights for segment in segments]
+        assert_same_bits(batched, np.concatenate(single))
 
     @pytest.mark.parametrize("p", [1.0, 1.000001, 1.001, 1.3, 2.0, 7.0, math.inf])
     @pytest.mark.parametrize(
@@ -624,10 +614,8 @@ class TestSegmentedSolve:
         single, batched = solve_pool(losses, config), solve_pool(losses, config, sizes=[300])
         assert isinstance(single.pooled_loss, float)
         assert isinstance(single.alpha_star, float)
-        assert_same_bits(batched.pooled_loss, [single.pooled_loss])
-        assert_same_bits(batched.alpha_star, [single.alpha_star])
-        for field in ("support", "weights", "dual"):
-            assert_same_bits(getattr(batched, field), getattr(single, field))
+        assert isinstance(batched, np.ndarray) and batched.dtype == np.float64
+        assert_same_bits(batched, single.weights)
 
     @pytest.mark.parametrize(
         "sizes", [[0, 5], [-1, 6], [2, 2], [3, 3], [2.5, 2.5], [], [[5]], [True] * 5]

@@ -125,3 +125,13 @@ def test_pixel_losses_passes_no_axis_to_numpy():
         if isinstance(node, ast.Call) and any(k.arg == "axis" for k in node.keywords)
     ]
     assert not calls, calls
+
+
+def test_solver_has_no_loop_statement():
+    """Per-row work in the solver stays array code; comprehensions are allowed."""
+    tree = ast.parse((PACKAGE / "solver.py").read_text())
+    loops = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While))
+    ]
+    assert not loops, loops

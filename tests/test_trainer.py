@@ -522,19 +522,20 @@ class TestTrain:
         ).loss_history  # the sampler actually changes the crop stream
 
     def test_pooled_crop_loss_upper_bounds_its_mean(self, monkeypatch):
-        # Record every segmented solve the trainer performs and check each
-        # crop's pooled value against the plain mean of its own pixel losses.
+        # Record every crop of every segmented solve the trainer performs and
+        # check the pooled value of its own solve against the plain mean of
+        # its pixel losses.
         from losspool import trainer as trainer_module
 
         records = []
         real_solve = trainer_module.solve_pool
 
         def recording(losses, config, sizes=None):
-            outcome = real_solve(losses, config, sizes=sizes)
             ends = np.cumsum(sizes)
-            for pooled, start, end in zip(outcome.pooled_loss, ends - sizes, ends):
-                records.append((pooled, float(np.mean(losses[start:end]))))
-            return outcome
+            for start, end in zip(ends - sizes, ends):
+                crop = losses[start:end]
+                records.append((real_solve(crop, config).pooled_loss, float(np.mean(crop))))
+            return real_solve(losses, config, sizes=sizes)
 
         monkeypatch.setattr(trainer_module, "solve_pool", recording)
         dataset = generate_dataset(small_spec())
@@ -552,9 +553,10 @@ class TestTrain:
         real_solve = trainer_module.solve_pool
 
         def recording(losses, config, sizes=None):
-            outcome = real_solve(losses, config, sizes=sizes)
-            pooled.append(sum(outcome.pooled_loss.tolist()) / len(sizes))
-            return outcome
+            ends = np.cumsum(sizes)
+            crops = [real_solve(losses[a:b], config).pooled_loss for a, b in zip(ends - sizes, ends)]
+            pooled.append(sum(crops) / len(sizes))
+            return real_solve(losses, config, sizes=sizes)
 
         monkeypatch.setattr(trainer_module, "solve_pool", recording)
         dataset = generate_dataset(SyntheticDatasetSpec(seed=101))
@@ -681,7 +683,7 @@ class TestPoolingMechanism:
         labels = tiles(dataset.labels[dataset.train_indices]).reshape(-1)
         losses = softmax_xent(SegBatch(logits=logits, labels=labels)).losses
         sizes = [ch * cw] * (labels.size // (ch * cw))
-        pixel_weights = solve_pool(losses, config.pooling, sizes=sizes).weights
+        pixel_weights = solve_pool(losses, config.pooling, sizes=sizes)
 
         rare = labels == np.argmin(spec.class_pixel_fractions)
         assert pixel_weights[rare].sum() / pixel_weights.sum() > rare.mean()
