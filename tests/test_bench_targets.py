@@ -71,12 +71,17 @@ def test_a_traced_demo_times_and_counts_every_sampler_layer(tmp_path, capsys):
 
 
 def test_a_traced_audit_times_and_counts_every_oracle_layer(tmp_path, capsys):
+    instances = 12  # enough draws of seed 0 to cover all five audit p
     tracer = load_spans().Tracer()
     with tracer.installed():
-        code = main(["oracle-audit", "--instances", "3", "--output-dir", str(tmp_path)])
+        code = main(["oracle-audit", "--instances", str(instances), "--output-dir", str(tmp_path)])
     tracer.drain()
     assert code == 0
+    rows = json.loads((tmp_path / "audit_report.json").read_text())["rows"]
+    assert {row["p"] for row in rows} == {1.1, 1.3, 1.7, 2.0, 4.0}
     layers = ["oracle.run_audit", "oracle.maximize_primal", "oracle.scan_dual_alpha",
               "oracle.kkt_residual", "solver.solve_pool"]
     assert tracer.problems(layers) == []
-    assert tracer.counts["oracle.ascent_iters"] > 0
+    # One block ascent, which counts one projection per instance.
+    assert tracer.totals["oracle.maximize_primal"][0] == 1
+    assert tracer.counts["oracle.ascent_iters"] == instances

@@ -329,14 +329,15 @@ class TestPrimalAscent:
             assert report.max_constraint_violation == 0.0
 
     def test_makes_one_projection(self, monkeypatch):
+        """One call of the segment search that :func:`project_feasible` wraps."""
         calls = [0]
-        project = losspool.oracle.project_feasible
+        project = losspool.oracle._project_segments
 
-        def counted(point, params):
+        def counted(v, sizes, params):
             calls[0] += 1
-            return project(point, params)
+            return project(v, sizes, params)
 
-        monkeypatch.setattr(losspool.oracle, "project_feasible", counted)
+        monkeypatch.setattr(losspool.oracle, "_project_segments", counted)
         losses = np.random.default_rng(8).lognormal(0.0, 1.0, 30)
         report = maximize_primal(losses, PoolingConfig(p=1.3, m=7.5))
         assert calls[0] == report.iterations == 1
@@ -423,6 +424,55 @@ class TestPrimalAscent:
             assert rel_err(solve_pool(losses, config).pooled_loss, report.value) <= 1e-12
 
 
+class TestBlockAscent:
+    """A block ascent reports, bit for bit, each instance's one-instance report."""
+
+    @staticmethod
+    def cases():
+        """Audit draws over all five audit p, all-zero losses, n = 1 and an
+        instance with m = n, whose far target clips into the ball."""
+        rng = np.random.default_rng(21)
+        cases = [random_instance(rng) for _ in range(60)]
+        cases += [
+            (np.zeros(6), PoolingConfig(p=1.3, m=2.5)),
+            (np.array([0.7]), PoolingConfig(p=4.0, m=1.0)),
+            (np.array([2.0, 1.0, 0.5, 3.0]), PoolingConfig(p=1.7, m=4.0)),
+        ]
+        assert {config.p for _, config in cases} == set(losspool.oracle._AUDIT_P_CHOICES)
+        for losses, config in cases[-2:]:
+            params = config.resolve(losses.size)
+            clip = np.minimum(far_target(losses, params), params.tau)
+            assert stable_qnorm(clip, params.p) <= params.gamma
+        return cases
+
+    def test_block_is_each_one_instance_call(self):
+        cases = self.cases()
+        report = maximize_primal(*zip(*cases))
+        assert report.iterations == len(cases)
+        assert isinstance(report.weights, list) and len(report.weights) == len(cases)
+        for values in (report.value, report.max_constraint_violation):
+            assert values.dtype == np.float64 and values.shape == (len(cases),)
+        for k, (losses, config) in enumerate(cases):
+            one = maximize_primal(losses, config)
+            assert isinstance(one.value, float) and isinstance(one.max_constraint_violation, float)
+            assert report.value[k] == one.value
+            assert report.max_constraint_violation[k] == one.max_constraint_violation == 0.0
+            np.testing.assert_array_equal(report.weights[k], one.weights)
+
+    @pytest.mark.parametrize("split", [1, 25, 62])
+    def test_split_block_gives_the_same_values(self, split):
+        cases = self.cases()
+        whole = maximize_primal(*zip(*cases))
+        parts = [maximize_primal(*zip(*cases[:split])), maximize_primal(*zip(*cases[split:]))]
+        np.testing.assert_array_equal(np.concatenate([r.value for r in parts]), whole.value)
+        for got, expected in zip([w for r in parts for w in r.weights], whole.weights):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_needs_one_config_per_loss_vector(self):
+        with pytest.raises(ValueError):
+            maximize_primal([[1.0, 2.0], [3.0]], [PoolingConfig(p=2.0, m=1.0)])
+
+
 class TestDualScan:
     def test_worked_example(self):
         report = scan_dual_alpha([3.0, 1.0], PoolingConfig(p=2.0, m=1.0))
@@ -441,6 +491,14 @@ class TestDualScan:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 scan = scan_dual_alpha(losses, config)
             assert rel_err(pooled, scan.value) <= 1e-14
+
+    def test_losses_near_the_float64_maximum_meet_the_solver(self):
+        """Their sum passes the float64 maximum.  The minimiser is alpha =
+        max l, whose row read inf while gamma scaled the q-norm after the row
+        top did: the scan then stopped 3% high, with an overflow warning."""
+        losses, config = np.array([1.7e308, 0.9e308, 1.7e308, 1e307]), PoolingConfig(p=1.3, m=1.5)
+        scan = scan_dual_alpha(losses, config)
+        assert rel_err(solve_pool(losses, config).pooled_loss, scan.value) <= 1e-14
 
     @staticmethod
     def grid_cases():
@@ -511,6 +569,19 @@ class TestOracleAgreement:
             pooled = solve_pool(losses, config).pooled_loss
             ascent = maximize_primal(losses, config)
             assert rel_err(pooled, ascent.value) <= 1e-7
+            assert rel_err(pooled, scan_dual_alpha(losses, config).value) <= 1e-14
+
+    def test_ascent_is_a_lower_bound_at_p_one_plus_1e_minus_8(self):
+        """q near 1e8.  On these draws the ascent sits up to 2.5e-6 below the
+        solver, against 3.5e-11 at p = 1.001; the cause is not yet known.  It
+        must stay within 1e-5 below the solver and never above it."""
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            losses, config = random_instance(rng)
+            config = PoolingConfig(p=1.0 + 1e-8, m=config.m)
+            pooled = solve_pool(losses, config).pooled_loss
+            ascent = maximize_primal(losses, config).value
+            assert pooled * (1.0 - 1e-5) <= ascent <= pooled
             assert rel_err(pooled, scan_dual_alpha(losses, config).value) <= 1e-14
 
     def test_ascent_never_exceeds_scan(self):
@@ -618,6 +689,27 @@ class TestAudit:
         assert rel_err(0.0, 0.0) == 0.0
         assert rel_err(1.625e-170, 2.1405e-170) == pytest.approx(0.2408, abs=1e-4)
         assert math.isnan(rel_err(0.0, math.nan))
+
+    def test_ascends_each_block_in_one_call(self, monkeypatch):
+        """Blocks of at most ``_AUDIT_BLOCK`` draws, one ascent call each; the
+        rows do not depend on the block size."""
+        sizes = []
+        ascend = losspool.oracle.maximize_primal
+
+        def counted(losses, configs):
+            sizes.append(len(losses))
+            return ascend(losses, configs)
+
+        monkeypatch.setattr(losspool.oracle, "maximize_primal", counted)
+        whole = run_audit(instances=50, seed=3)
+        assert sizes == [50] and whole.all_passed
+        monkeypatch.setattr(losspool.oracle, "_AUDIT_BLOCK", 20)
+        blocked = run_audit(instances=50, seed=3)
+        assert sizes == [50, 20, 20, 10]
+        for a, b in zip(whole.rows, blocked.rows, strict=True):
+            assert (a.index, a.ascent_value, a.constraint_violation, a.scan_value) == (
+                b.index, b.ascent_value, b.constraint_violation, b.scan_value
+            )
 
     def test_audit_is_reproducible(self):
         a = run_audit(instances=10, seed=7)
