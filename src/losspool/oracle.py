@@ -14,11 +14,12 @@ Two independent routes to the pooled value, used to audit
   the point the ascent scores lies in the set exactly.  Given a block of
   instances, it packs those of each ``p`` into one vector and runs their
   searches in lockstep; norms are per-segment reductions.
-* :func:`scan_dual_alpha` walks the dual path ``lam(alpha) = max(l - alpha,
-  0)`` over a threshold grid, evaluated as one broadcast array in blocks,
-  and refines between the best point's grid neighbours with the same
-  evaluator.  The dual objective falls, then rises along this path, so
-  refinement keeps the minimiser, which meets the primal optimum.
+* :func:`scan_dual_alpha` minimises the dual objective along the path
+  ``lam(alpha) = max(l - alpha, 0)`` by a golden-section search over
+  ``alpha`` in units of the top loss.  The objective falls, then rises along
+  this path, so the search keeps the minimiser, which meets the primal
+  optimum.  A block packs every instance into one vector and runs the
+  searches in lockstep, one evaluation of all segments per step.
 
 :func:`kkt_residual` checks a dual vector against the optimality fixed
 point.  None of this shares code or structure with the closed-form solver,
@@ -26,7 +27,7 @@ which supplies only the config types, the input check and
 :func:`solve_pool`; that is the point.  The references that check the
 oracles themselves live with the tests: the scalar dual path value, the
 dual bound at any ``lam``, and a Dykstra alternating projection.  The step
-size and grid size are module constants, set to what the audit runs.  This
+size and stop widths are module constants, set to what the audit runs.  This
 module is verification tooling, not part of the library surface proper, but
 the command line exposes it for audits.
 """
@@ -61,12 +62,9 @@ _BALL_TOL = 1.0e-12
 # How far along the losses the ascent's target lies, relative to the set size.
 _ASCENT_STEP = 1.0e12
 
-# Threshold points of each dual-scan grid (the first over [0, max l], each
-# refinement between the last best point's neighbours), and the most grid
-# elements (rows times losses) one block holds; a block has at least one row.
-_SCAN_GRID_SIZE = 65
-_SCAN_STEPS = np.arange(_SCAN_GRID_SIZE, dtype=np.float64)
-_SCAN_BLOCK_ELEMENTS = 2**14
+# The dual scan's golden-section ratio, and its stop width in units of the top loss.
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_ALPHA_TOL = 1.0e-13
 
 
 @dataclass
@@ -75,18 +73,18 @@ class OracleReport:
 
     ``value`` is the oracle's independent estimate of the pooled loss.
     ``weights`` is the feasible primal point found (``None`` for the dual
-    scan, which produces no primal iterate).  ``alpha`` is only set by the
-    dual scan.  ``max_constraint_violation`` is measured on the returned
-    point; the ascent's points are feasible exactly, so it reads 0.  A block
-    ascent reports per instance: ``value`` and ``max_constraint_violation``
-    are float64 arrays, ``weights`` a list, ``iterations`` one per instance.
+    scan, which produces no primal iterate, and reads 0 for its violation).
+    ``max_constraint_violation`` is measured on the returned point; the
+    ascent's points are feasible exactly, so it reads 0.  A block ascent
+    reports per instance: ``value`` and ``max_constraint_violation`` are
+    float64 arrays, ``weights`` a list, ``iterations`` one per instance.  A
+    block scan reports a float64 array of values and its evaluations summed.
     """
 
     value: float | np.ndarray
     weights: np.ndarray | list[np.ndarray] | None
     iterations: int
     max_constraint_violation: float | np.ndarray
-    alpha: float | None = None
 
 
 def _segments(sizes):
@@ -96,11 +94,12 @@ def _segments(sizes):
 
 def _qnorms(x, q, segments=(np.zeros(1, dtype=np.intp), 0)):
     """:func:`stable_qnorm` of each segment of the non-negative packed ``x``
-    (by default, of ``x`` whole)."""
+    (by default, of ``x`` whole), with ``q`` a scalar or one per segment."""
     starts, seg = segments
     top = np.maximum.reduceat(x, starts)
     scale = np.where(top > 0.0, top, 1.0)
-    return top * np.add.reduceat((x / scale[seg]) ** q, starts) ** (1.0 / q)
+    powers = (x / scale[seg]) ** (q[seg] if np.ndim(q) else q)
+    return top * np.add.reduceat(powers, starts) ** (1.0 / q)
 
 
 def stable_qnorm(x: np.ndarray, q: float) -> float:
@@ -247,6 +246,14 @@ def constraint_violation(w: np.ndarray, params: ResolvedPooling) -> float:
     return max(neg, over_cap, over_ball)
 
 
+def _instances(losses, config):
+    """Whether an oracle call is a block, its loss vectors and their resolved configs."""
+    block = not isinstance(config, PoolingConfig)
+    vectors = [as_loss_vector(x) for x in (losses if block else [losses])]
+    configs = config if block else [config]
+    return block, vectors, [c.resolve(x.size) for c, x in zip(configs, vectors, strict=True)]
+
+
 def maximize_primal(losses, config) -> OracleReport:
     """Maximise ``w . l`` over the weight family by one far projection.
 
@@ -268,10 +275,7 @@ def maximize_primal(losses, config) -> OracleReport:
     vector and reports per instance (:class:`OracleReport`), bit for bit
     each instance's one-instance report, whatever else the block holds.
     """
-    block = not isinstance(config, PoolingConfig)
-    vectors = [as_loss_vector(x) for x in (losses if block else [losses])]
-    configs = config if block else [config]
-    params = [c.resolve(x.size) for c, x in zip(configs, vectors, strict=True)]
+    block, vectors, params = _instances(losses, config)
     if not all(1.0 < pr.p < math.inf for pr in params):
         raise ValueError("maximize_primal needs finite p > 1")
 
@@ -298,69 +302,63 @@ def maximize_primal(losses, config) -> OracleReport:
     )
 
 
-def _dual_path_grid(
-    alphas: np.ndarray, values: np.ndarray, params: ResolvedPooling
-) -> np.ndarray:
-    """The dual objective along the threshold path at every entry of ``alphas``.
-
-    ``g(alpha) = tau * sum(max(l - alpha, 0)) + gamma * ||min(l, alpha)||_q``,
-    broadcast over rows of a ``[grid, n]`` array evaluated in blocks of at
-    most ``_SCAN_BLOCK_ELEMENTS`` elements.  The q-norm is scaled by the row
-    top ``min(max(l), alpha)`` as :func:`stable_qnorm` scales it; a row whose
-    top is zero has norm zero.  ``gamma`` scales the row top and ``tau`` each
-    excess before the sums, so only a value past the float64 maximum reads inf.
-    """
-    gvals = np.empty(alphas.size)
-    rows = max(1, _SCAN_BLOCK_ELEMENTS // values.size)
-    top = values.max()
-    for start in range(0, alphas.size, rows):
-        block = alphas[start:start + rows, None]
-        row_top = np.minimum(top, block)
-        scale = np.where(row_top > 0.0, row_top, 1.0)
-        capped = np.minimum(values, block) / scale
-        norm = (params.gamma * row_top[:, 0]) * np.sum(capped**params.q, axis=1) ** (1.0 / params.q)
-        lam_sum = (params.tau * np.maximum(values - block, 0.0)).sum(axis=1)
-        gvals[start:start + rows] = lam_sum + norm
-    return gvals
+def _dual_path(v, alpha, params, segments):
+    """The dual objective ``sum(tau * max(v - alpha, 0)) + gamma * ||min(v, alpha)||_q``
+    of each segment of the packed ``v``, with ``alpha``, ``tau``, ``gamma``
+    and ``q`` one per segment."""
+    starts, seg = segments
+    lam_sum = np.add.reduceat(params.tau[seg] * np.maximum(v - alpha[seg], 0.0), starts)
+    return lam_sum + params.gamma * _qnorms(np.minimum(v, alpha[seg]), params.q, segments)
 
 
-def scan_dual_alpha(losses, config: PoolingConfig) -> OracleReport:
+def scan_dual_alpha(losses, config) -> OracleReport:
     """Minimise the dual objective along the threshold path.
 
-    Evaluates :func:`_dual_path_grid` on ``_SCAN_GRID_SIZE`` points over
-    ``[0, max(l)]``, then as many between the two grid neighbours of the
-    smallest value, until they lie closer than ``1e-13 * max(l)``, so 2**k times
-    the losses take the same steps (or, below max(l) = 3e-309, than a width
-    of ``_SCAN_GRID_SIZE`` subnormals, so that each refinement still narrows).
-    The slope is ``|J_alpha| * (gamma * (alpha / ||min(l, alpha)||_q)**(q-1)
-    - tau)`` with ``J_alpha = {u : l(u) > alpha}``, and its bracket never
-    decreases in alpha: the objective falls, then rises, so each refinement
-    keeps the minimiser, and a missed minimum can only read high.  Reports
-    the smallest value seen (the pooled value), its alpha and the points
-    evaluated.
-    """
-    values = as_loss_vector(losses)
-    params = config.resolve(values.size)
+    In units of the top loss (1 for a top of 0), where no evaluation
+    overflows, a golden-section search narrows the threshold's range [0, 1]
+    to the width ``_ALPHA_TOL``, keeping the side of the smaller of its two
+    probes.  The slope is ``|J_alpha| * (gamma * (alpha /
+    ||min(l, alpha)||_q)**(q-1) - tau)`` with ``J_alpha = {u : l(u) >
+    alpha}``, and its bracket never decreases in alpha: the objective falls,
+    then rises, so the search keeps the minimiser, and a missed minimum can
+    only read high.  Reports the top times the smallest value evaluated, the
+    ends 0 and 1 included (the pooled value), and the points evaluated.
 
-    top = float(values.max())
-    lo, hi = 0.0, top
-    value, alpha, evals = math.inf, 0.0, 0
-    width = max(1e-13 * top, _SCAN_GRID_SIZE * math.ulp(0.0))
-    with np.errstate(over="ignore"):  # a grid value past the float64 maximum reads inf
-        while evals == 0 or hi - lo > width:
-            # The formula of ``np.linspace(lo, hi, _SCAN_GRID_SIZE)``, without its call overhead.
-            alphas = _SCAN_STEPS * ((hi - lo) / (_SCAN_GRID_SIZE - 1)) + lo
-            alphas[-1] = hi
-            gvals = _dual_path_grid(alphas, values, params)
-            evals += _SCAN_GRID_SIZE
-            k = int(np.argmin(gvals))
-            if gvals[k] < value:
-                value, alpha = float(gvals[k]), float(alphas[k])
-            lo = alphas[max(k - 1, 0)]
-            hi = alphas[min(k + 1, _SCAN_GRID_SIZE - 1)]
+    Block mode: given a config per loss vector in the list ``losses``, it
+    packs every instance into one vector and searches in lockstep.  Each
+    segment keeps its own bracket and stops on its own (a closed one is
+    evaluated at its upper end again), so each instance's value has the bits
+    of its one-instance report.  ``value`` is then a float64 array and
+    ``iterations`` the evaluations summed over the instances.
+    """
+    block, vectors, params = _instances(losses, config)
+    table = np.array([(pr.tau, pr.gamma, pr.q) for pr in params])
+    packed = params[0]._replace(tau=table[:, 0], gamma=table[:, 1], q=table[:, 2])
+    starts, seg = segments = _segments(np.array([x.size for x in vectors]))
+    values = np.concatenate(vectors)
+    top = np.maximum.reduceat(values, starts)
+    v = values / np.where(top > 0.0, top, 1.0)[seg]
+
+    lo, hi = np.zeros(len(vectors)), np.ones(len(vectors))
+    x1, x2 = hi - _INV_PHI, lo + _INV_PHI
+    f_lo, f_hi, f1, f2 = (_dual_path(v, a, packed, segments) for a in (lo, hi, x1, x2))
+    best, evals = np.minimum(np.minimum(f_lo, f_hi), np.minimum(f1, f2)), 4 * len(vectors)
+    while (active := hi - lo > _ALPHA_TOL).any():
+        left = active & (f1 <= f2)  # the minimiser lies in [lo, x2], else in [x1, hi]
+        right = active & ~left
+        lo, x1, f1 = np.where(right, x1, lo), np.where(right, x2, x1), np.where(right, f2, f1)
+        hi, x2, f2 = np.where(left, x2, hi), np.where(left, x1, x2), np.where(left, f1, f2)
+        step = _INV_PHI * (hi - lo)
+        probe = np.where(left, hi - step, np.where(right, lo + step, hi))
+        f = _dual_path(v, probe, packed, segments)
+        x1, f1 = np.where(left, probe, x1), np.where(left, f, f1)
+        x2, f2 = np.where(right, probe, x2), np.where(right, f, f2)
+        best = np.minimum(best, f)  # a closed segment's hi was evaluated before
+        evals += int(active.sum())
+    value = top * best
     return OracleReport(
-        value=value, weights=None, iterations=evals, max_constraint_violation=0.0,
-        alpha=alpha,
+        value=value if block else float(value[0]), weights=None, iterations=evals,
+        max_constraint_violation=0.0,
     )
 
 
@@ -384,7 +382,7 @@ _AUDIT_P_CHOICES = (1.1, 1.3, 1.7, 2.0, 4.0)
 # Largest constraint violation a passing ascent may leave.
 MAX_VIOLATION = 1e-8
 
-# Most instances the audit draws and ascends in one block.
+# Most instances the audit draws, ascends and scans in one block.
 _AUDIT_BLOCK = 1000
 
 
@@ -452,8 +450,8 @@ def run_audit(
     A row passes when both oracle values agree with the solver within
     ``rel_tol``, the ascent's weights violate no constraint by more than
     ``MAX_VIOLATION``, and the solver's dual satisfies the KKT fixed point
-    within ``kkt_tol`` (checked on max-normalized losses).  The ascent runs
-    on blocks of at most ``_AUDIT_BLOCK`` instances, one call per block.
+    within ``kkt_tol`` (checked on max-normalized losses).  Both oracles run
+    on blocks of at most ``_AUDIT_BLOCK`` instances, one call each per block.
     """
     rng = np.random.default_rng(seed)
     summary = AuditSummary(tolerances={
@@ -464,16 +462,17 @@ def run_audit(
     for first in range(0, instances, _AUDIT_BLOCK):
         drawn = [random_instance(rng) for _ in range(min(_AUDIT_BLOCK, instances - first))]
         ascent = maximize_primal(*zip(*drawn))  # the block's losses, then its configs
+        scan = scan_dual_alpha(*zip(*drawn))
         for k, (losses, config) in enumerate(drawn):
-            outcome, scan = solve_pool(losses, config), scan_dual_alpha(losses, config)
+            outcome, scan_value = solve_pool(losses, config), float(scan.value[k])
             pooled, ascent_value = outcome.pooled_loss, float(ascent.value[k])
             scale = float(losses.max())
             kkt = kkt_residual(outcome.dual / scale, losses / scale, config) if scale > 0.0 else 0.0
             row = AuditRow(
                 index=first + k, n=losses.size, p=config.p, m=float(config.m),
-                solver_value=pooled, ascent_value=ascent_value, scan_value=scan.value,
+                solver_value=pooled, ascent_value=ascent_value, scan_value=scan_value,
                 ascent_rel_err=rel_err(pooled, ascent_value),
-                scan_rel_err=rel_err(pooled, scan.value), kkt_residual=kkt,
+                scan_rel_err=rel_err(pooled, scan_value), kkt_residual=kkt,
                 constraint_violation=float(ascent.max_constraint_violation[k]), passed=False,
             )
             row.passed = all(getattr(row, key) <= tol for key, tol in summary.tolerances.items())

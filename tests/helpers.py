@@ -121,7 +121,7 @@ def dual_objective(lam, losses, config):
 def dual_path_value(alpha, values, params):
     """The dual objective at ``lam = max(l - alpha, 0)``, one threshold at a time.
 
-    The scalar reference for :func:`losspool.oracle._dual_path_grid`.
+    The scalar reference for :func:`losspool.oracle._dual_path`.
     """
     lam_sum = float(np.maximum(values - alpha, 0.0).sum())
     return params.tau * lam_sum + params.gamma * oracle.stable_qnorm(

@@ -85,3 +85,6 @@ def test_a_traced_audit_times_and_counts_every_oracle_layer(tmp_path, capsys):
     # One block ascent, which counts one projection per instance.
     assert tracer.totals["oracle.maximize_primal"][0] == 1
     assert tracer.counts["oracle.ascent_iters"] == instances
+    # One block scan, which counts its evaluations, about 67 per instance.
+    assert tracer.totals["oracle.scan_dual_alpha"][0] == 1
+    assert tracer.counts["oracle.scan_evals"] <= 70 * instances

@@ -838,9 +838,9 @@ class TestOracleAuditCommand:
             b'    "m": 2.1797895930485849,\n'
             b'    "solver_value": 3.1239906946507912,\n'
             b'    "ascent_value": 3.1239906946499567,\n'
-            b'    "scan_value": 3.1239906946507903,\n'
+            b'    "scan_value": 3.1239906946507907,\n'
             b'    "ascent_rel_err": 2.6710823010359325e-13,\n'
-            b'    "scan_rel_err": 2.8430891974836962e-16,\n'
+            b'    "scan_rel_err": 1.4215445987418481e-16,\n'
             b'    "kkt_residual": 0,\n'
             b'    "constraint_violation": 0,\n'
             b'    "passed": true\n'
