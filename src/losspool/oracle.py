@@ -1,35 +1,36 @@
 """Verification oracles for the pooling solve.
 
 Two independent routes to the pooled value, used to audit
-:func:`losspool.solver.solve_pool`:
+:func:`losspool.solver.solve_pool`.  Each takes a block, a list of loss
+vectors with one :class:`PoolingConfig` each, and reports per instance:
 
 * :func:`maximize_primal` maximises ``w . l`` over the feasible set, the
   intersection of the weight box ``[0, tau]^n`` and the p-norm ball of
-  radius ``gamma``, with one exact projection (:func:`project_feasible`) of
-  a point far along ``l``.  The objective is linear and the set convex and
-  compact, so that projection tends to a maximiser as the point recedes;
-  at ``1e12`` times the set size it lands on one within rounding.  The
-  projection brackets its multiplier from a closed-form upper end, narrows
-  it by Illinois steps and returns the candidate at the feasible end, so
-  the point the ascent scores lies in the set exactly.  Given a block of
-  instances, it packs those of each ``p`` into one vector and runs their
-  searches in lockstep; norms are per-segment reductions.
+  radius ``gamma``, with one exact projection of a point far along ``l``.
+  The objective is linear and the set convex and compact, so that
+  projection tends to a maximiser as the point recedes; at ``1e12`` times
+  the set size it lands on one within rounding.  The projection brackets
+  its multiplier from a closed-form upper end, narrows it by Illinois steps
+  and returns the candidate at the feasible end, so the point the ascent
+  scores lies in the set exactly.  The instances of each ``p`` are packed
+  into one vector and searched in lockstep; norms are per-segment
+  reductions.
 * :func:`scan_dual_alpha` minimises the dual objective along the path
   ``lam(alpha) = max(l - alpha, 0)`` by a golden-section search over
   ``alpha`` in units of the top loss.  The objective falls, then rises along
   this path, so the search keeps the minimiser, which meets the primal
-  optimum.  A block packs every instance into one vector and runs the
-  searches in lockstep, one evaluation of all segments per step.
+  optimum.  Every instance is packed into one vector and searched in
+  lockstep, one evaluation of all segments per step.
 
 :func:`kkt_residual` checks a dual vector against the optimality fixed
 point.  None of this shares code or structure with the closed-form solver,
 which supplies only the config types, the input check and
 :func:`solve_pool`; that is the point.  The references that check the
 oracles themselves live with the tests: the scalar dual path value, the
-dual bound at any ``lam``, and a Dykstra alternating projection.  The step
-size and stop widths are module constants, set to what the audit runs.  This
-module is verification tooling, not part of the library surface proper, but
-the command line exposes it for audits.
+dual bound at any ``lam``, the one-segment projection and its bisection and
+Dykstra references.  The step size and stop widths are module constants,
+set to what the audit runs.  This module is verification tooling, not part
+of the library surface proper, but the command line exposes it for audits.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "scan_dual_alpha",
     "stable_qnorm",
     "kkt_residual",
-    "project_feasible",
     "random_instance",
     "run_audit",
 ]
@@ -69,22 +69,21 @@ _ALPHA_TOL = 1.0e-13
 
 @dataclass
 class OracleReport:
-    """Outcome of one oracle run.
+    """Outcome of one oracle call on a block, per instance.
 
-    ``value`` is the oracle's independent estimate of the pooled loss.
-    ``weights`` is the feasible primal point found (``None`` for the dual
-    scan, which produces no primal iterate, and reads 0 for its violation).
-    ``max_constraint_violation`` is measured on the returned point; the
-    ascent's points are feasible exactly, so it reads 0.  A block ascent
-    reports per instance: ``value`` and ``max_constraint_violation`` are
-    float64 arrays, ``weights`` a list, ``iterations`` one per instance.  A
-    block scan reports a float64 array of values and its evaluations summed.
+    ``value`` holds each instance's independent estimate of the pooled loss.
+    ``weights`` lists the feasible primal points found (``None`` for the
+    dual scan, which produces no primal iterate).
+    ``max_constraint_violation`` is measured on each returned point; the
+    ascent's points are feasible exactly, and the scan has none, so it reads
+    0.  ``iterations`` counts the instances for the ascent and the
+    evaluations summed over the instances for the scan.
     """
 
-    value: float | np.ndarray
-    weights: np.ndarray | list[np.ndarray] | None
+    value: np.ndarray
+    weights: list[np.ndarray] | None
     iterations: int
-    max_constraint_violation: float | np.ndarray
+    max_constraint_violation: np.ndarray
 
 
 def _segments(sizes):
@@ -146,9 +145,33 @@ def _shrink_to_ball_surface(b: np.ndarray, nu, p: float) -> np.ndarray:
 
 
 def _project_segments(v, sizes, params):
-    """:func:`project_feasible` of each segment (the next ``sizes[b]`` entries)
-    of the packed non-negative ``v``, with gamma ``params.gamma[b]`` and cap
-    ``params.tau[b]``.  A closed bracket is evaluated at its upper end again."""
+    """Exact Euclidean projection of each segment (the next ``sizes[b]``
+    entries) of the packed non-negative ``v`` onto the box ``[0, tau[b]]``
+    intersect the p-norm ball of radius ``gamma[b]``, with ``params.gamma``
+    and ``params.tau`` one per segment.
+
+    Dualising only the ball constraint makes the projection separable.  In
+    units of the radius, ``u = v / gamma``, the box-constrained minimiser per
+    coordinate for a multiplier ``nu`` is ``min(gamma * shrink(u, nu), tau)``,
+    and the norm of that candidate does not increase in ``nu``.  Narrowing a
+    bracket on ``nu`` until the norm meets ``gamma`` yields the exact joint
+    projection (strong duality; the intersection has interior).  The point
+    clipped to the box, the candidate at ``nu = 0``, comes first: inside the
+    ball it is the projection; outside, its excess serves when the search
+    walks down to ``nu = 0``.  In radius units the cap is ``tau / gamma =
+    m**(-1/p)``, so the multiplier that pushes an entry down to it stays in
+    float64 range at any p.  The search starts at ``||u||_q / p``, the
+    ball-only multiplier of a far point and an upper end, and narrows the
+    bracket by Illinois steps (false position, halving the value at an end
+    kept twice in a row) down to the relative width ``_BALL_TOL``.  The
+    result is the candidate at the upper end, where :func:`stable_qnorm`
+    measured the norm at most ``gamma``, so :func:`constraint_violation`
+    reads exactly 0 on it.  With ``tau = inf`` this projects onto the ball
+    alone.  A ``ValueError`` rejects a segment outside the set whose
+    ``||v||_q / gamma`` leaves float64 range.  Each segment keeps its own
+    bracket, and a closed one is evaluated at its upper end again, so a
+    segment's result does not depend on the rest of the block.
+    """
     segments = _segments(sizes)
     seg, p = segments[1], params.p
     gamma, tau = params.gamma[seg], params.tau[seg]
@@ -205,39 +228,6 @@ def _project_segments(v, sizes, params):
     return feasible
 
 
-def project_feasible(point: np.ndarray, params: ResolvedPooling) -> np.ndarray:
-    """Exact Euclidean projection onto box intersect p-norm ball.
-
-    Dualising only the ball constraint makes the projection separable.  In
-    units of the radius, ``u = v / gamma``, the box-constrained minimiser per
-    coordinate for a multiplier ``nu`` is ``min(gamma * shrink(u, nu), tau)``,
-    and the norm of that candidate does not increase in ``nu``.  Narrowing a
-    bracket on ``nu`` until the norm meets ``gamma`` yields the exact joint
-    projection (strong duality; the intersection has interior).  The point
-    clipped to the box, the candidate at ``nu = 0``, comes first: inside the
-    ball it is the projection; outside, its excess serves when the search
-    walks down to ``nu = 0``.  In radius units the cap is ``tau / gamma =
-    m**(-1/p)``, so the multiplier that pushes an entry down to it stays in
-    float64 range at any p.  The search starts at ``||u||_q / p``, the
-    ball-only multiplier of a far point and an upper end.  An excess > 0
-    there walks up by 4; otherwise one step down by 4 is probed, then
-    ``nu = 0`` is the lower end.  The bracket shrinks by Illinois steps
-    (false position, halving the value at an end kept twice in a row), with
-    the midpoint as fallback, down to the relative width ``_BALL_TOL``.  The
-    result is the candidate at the upper end, where :func:`stable_qnorm`
-    measured the norm at most ``gamma``, so :func:`constraint_violation`
-    reads exactly 0 on it.  With ``tau = inf`` this is the projection of a
-    non-negative point onto the p-norm ball alone.  A ``ValueError`` rejects
-    a point outside the set whose ``||v||_q / gamma`` leaves float64 range.
-    This is the one-segment case of the search a block ascent runs.
-    """
-    if not (1.0 < params.p < math.inf):
-        raise ValueError(f"projection needs finite p > 1, got {params.p!r}")
-    v = np.maximum(np.asarray(point, dtype=np.float64), 0.0)
-    one = params._replace(gamma=np.array([params.gamma]), tau=np.array([params.tau]))
-    return _project_segments(v, np.array([v.size]), one)
-
-
 def constraint_violation(w: np.ndarray, params: ResolvedPooling) -> float:
     """Worst violation of ``0 <= w <= tau`` and ``||w||_p <= gamma``."""
     neg = float(np.maximum(-w, 0.0).max(initial=0.0))
@@ -246,36 +236,33 @@ def constraint_violation(w: np.ndarray, params: ResolvedPooling) -> float:
     return max(neg, over_cap, over_ball)
 
 
-def _instances(losses, config):
-    """Whether an oracle call is a block, its loss vectors and their resolved configs."""
-    block = not isinstance(config, PoolingConfig)
-    vectors = [as_loss_vector(x) for x in (losses if block else [losses])]
-    configs = config if block else [config]
-    return block, vectors, [c.resolve(x.size) for c, x in zip(configs, vectors, strict=True)]
+def _instances(losses, configs):
+    """A block's loss vectors and their resolved configs, one per vector."""
+    vectors = [as_loss_vector(x) for x in losses]
+    return vectors, [c.resolve(x.size) for c, x in zip(configs, vectors, strict=True)]
 
 
-def maximize_primal(losses, config) -> OracleReport:
-    """Maximise ``w . l`` over the weight family by one far projection.
+def maximize_primal(losses, configs) -> OracleReport:
+    """Maximise ``w . l`` over the weight family by one far projection, for
+    each loss vector in the list ``losses`` with its config in ``configs``.
 
-    Projects the target ``w0 + t * (l / ||l||_2)`` with :func:`project_feasible`,
-    where ``w0`` is the uniform weighting ``1/n`` and ``t = _ASCENT_STEP *
-    gamma``, ``1e12`` times the set size; the increment is formed in the
-    order ``(_ASCENT_STEP * gamma) * (l / ||l||_2)``, in which tiny losses
-    cannot overflow it.  The projection ``w_t`` of that target satisfies
-    ``(target - w_t) . (w - w_t) <= 0`` for every feasible ``w``.  As ``w0``
-    is feasible, for a maximiser ``w*`` this gives ``l . w* - l . w_t <=
-    ||l||_2 * D**2 / t``, with ``D`` the diameter of the set: one projection
-    lands on the maximiser within about 1e-12 relative, so there is nothing
-    left for further steps of a projected gradient ascent to gain.  ``w_t``
-    is feasible exactly, so the value is a lower bound on the pooled loss.
-    Reports one iteration.  Requires finite ``p > 1``.
-
-    Block mode: given a config per loss vector in the list ``losses``, it
-    projects the targets of each ``p`` in one lockstep search of a packed
-    vector and reports per instance (:class:`OracleReport`), bit for bit
-    each instance's one-instance report, whatever else the block holds.
+    Projects the target ``w0 + t * (l / ||l||_2)``, where ``w0`` is the
+    uniform weighting ``1/n`` and ``t = _ASCENT_STEP * gamma``, ``1e12``
+    times the set size; the direction is taken in power-of-two units of the
+    top loss, where its norm neither over- nor underflows, and the increment
+    is formed in the order ``(_ASCENT_STEP * gamma) * (l / ||l||_2)``.  The
+    targets of each ``p`` are projected in one lockstep search of a packed
+    vector (:func:`_project_segments`).  The projection ``w_t`` of a target
+    satisfies ``(target - w_t) . (w - w_t) <= 0`` for every feasible ``w``.
+    As ``w0`` is feasible, for a maximiser ``w*`` this gives ``l . w* - l .
+    w_t <= ||l||_2 * D**2 / t``, with ``D`` the diameter of the set: one
+    projection lands on the maximiser within about 1e-12 relative, so there
+    is nothing left for further steps of a projected gradient ascent to
+    gain.  ``w_t`` is feasible exactly, so the value is a lower bound on the
+    pooled loss.  Each instance's report has the same bits whatever else the
+    block holds; one iteration per instance.  Requires finite ``p > 1``.
     """
-    block, vectors, params = _instances(losses, config)
+    vectors, params = _instances(losses, configs)
     if not all(1.0 < pr.p < math.inf for pr in params):
         raise ValueError("maximize_primal needs finite p > 1")
 
@@ -289,14 +276,13 @@ def maximize_primal(losses, config) -> OracleReport:
         grouped = params[group[0]]._replace(gamma=table[:, 0], tau=table[:, 1])
         packed = np.concatenate([vectors[i] for i in group])
         # All-zero losses give no direction; the uniform start is then the target.
-        norm = _qnorms(packed, 2.0, segments)
-        step = (_ASCENT_STEP * grouped.gamma[seg]) * (packed / np.where(norm > 0.0, norm, 1.0)[seg])
+        unit = np.ldexp(packed, -np.frexp(np.maximum.reduceat(packed, starts))[1][seg])
+        norm = _qnorms(unit, 2.0, segments)
+        step = (_ASCENT_STEP * grouped.gamma[seg]) * (unit / np.where(norm > 0.0, norm, 1.0)[seg])
         w = _project_segments(1.0 / sizes[seg] + step, sizes, grouped)
         for i, part in zip(group, np.split(w, starts[1:])):
             weights[i], value[i] = part, part @ vectors[i]
             violation[i] = constraint_violation(part, params[i])
-    if not block:
-        value, weights, violation = float(value[0]), weights[0], float(violation[0])
     return OracleReport(
         value=value, weights=weights, iterations=len(vectors), max_constraint_violation=violation
     )
@@ -311,8 +297,9 @@ def _dual_path(v, alpha, params, segments):
     return lam_sum + params.gamma * _qnorms(np.minimum(v, alpha[seg]), params.q, segments)
 
 
-def scan_dual_alpha(losses, config) -> OracleReport:
-    """Minimise the dual objective along the threshold path.
+def scan_dual_alpha(losses, configs) -> OracleReport:
+    """Minimise the dual objective along the threshold path, for each loss
+    vector in the list ``losses`` with its config in ``configs``.
 
     In units of the top loss (1 for a top of 0), where no evaluation
     overflows, a golden-section search narrows the threshold's range [0, 1]
@@ -323,15 +310,12 @@ def scan_dual_alpha(losses, config) -> OracleReport:
     then rises, so the search keeps the minimiser, and a missed minimum can
     only read high.  Reports the top times the smallest value evaluated, the
     ends 0 and 1 included (the pooled value), and the points evaluated.
-
-    Block mode: given a config per loss vector in the list ``losses``, it
-    packs every instance into one vector and searches in lockstep.  Each
+    Every instance is packed into one vector and searched in lockstep; each
     segment keeps its own bracket and stops on its own (a closed one is
-    evaluated at its upper end again), so each instance's value has the bits
-    of its one-instance report.  ``value`` is then a float64 array and
-    ``iterations`` the evaluations summed over the instances.
+    evaluated at its upper end again), so its value has the same bits
+    whatever else the block holds.
     """
-    block, vectors, params = _instances(losses, config)
+    vectors, params = _instances(losses, configs)
     table = np.array([(pr.tau, pr.gamma, pr.q) for pr in params])
     packed = params[0]._replace(tau=table[:, 0], gamma=table[:, 1], q=table[:, 2])
     starts, seg = segments = _segments(np.array([x.size for x in vectors]))
@@ -355,10 +339,9 @@ def scan_dual_alpha(losses, config) -> OracleReport:
         x2, f2 = np.where(right, probe, x2), np.where(right, f, f2)
         best = np.minimum(best, f)  # a closed segment's hi was evaluated before
         evals += int(active.sum())
-    value = top * best
     return OracleReport(
-        value=value if block else float(value[0]), weights=None, iterations=evals,
-        max_constraint_violation=0.0,
+        value=top * best, weights=None, iterations=evals,
+        max_constraint_violation=np.zeros(len(vectors)),
     )
 
 

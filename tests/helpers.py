@@ -26,10 +26,25 @@ def eta(alpha, losses, q, m):
     return float((m - np.count_nonzero(above)) * alpha**q - np.sum(values[~above] ** q))
 
 
+def project_feasible(point, params):
+    """Exact Euclidean projection onto the box ``[0, tau]^n`` intersect the
+    p-norm ball of radius ``gamma``, after clipping negative entries to 0.
+
+    The one-segment case of ``losspool.oracle._project_segments``, the
+    search a block ascent runs; with ``tau = inf`` it projects onto the ball
+    alone.  Requires finite ``p > 1``.
+    """
+    if not (1.0 < params.p < math.inf):
+        raise ValueError(f"projection needs finite p > 1, got {params.p!r}")
+    v = np.maximum(np.asarray(point, dtype=np.float64), 0.0)
+    one = params._replace(gamma=np.array([params.gamma]), tau=np.array([params.tau]))
+    return oracle._project_segments(v, np.array([v.size]), one)
+
+
 def project_feasible_bisect(point, params):
     """The joint projection with the multiplier found by halving its bracket.
 
-    The reference for :func:`losspool.oracle.project_feasible`: the same
+    The reference for :func:`project_feasible`: the same
     candidate map, in units of the radius, and stop width, with bisection
     from ``[0, 1]`` in place of the closed-form start and the Illinois step.
     It calls the oracle's ``_shrink_to_ball_surface`` through the module, so
@@ -71,11 +86,11 @@ DYKSTRA_MAX_CYCLES = 4000
 def project_feasible_dykstra(point, params):
     """Reference joint projection by Dykstra alternating projections.
 
-    A check on :func:`losspool.oracle.project_feasible`: it alternates the
-    box ``[0, tau]^n`` with the p-norm ball, and the ball step is the joint
-    projection with the cap lifted (``tau = inf``).  That step only ever
-    sees non-negative points, the box output plus a correction that the
-    ball projection leaves non-negative, so lifting the cap is exact there.
+    A check on :func:`project_feasible`: it alternates the box ``[0, tau]^n``
+    with the p-norm ball, and the ball step is the joint projection with the
+    cap lifted (``tau = inf``).  That step only ever sees non-negative
+    points, the box output plus a correction that the ball projection leaves
+    non-negative, so lifting the cap is exact there.
     Converges for any input but burns down its corrections only linearly
     when the point is far outside the sets; the loop stops once a full
     cycle neither moves the iterate nor leaves a gap between the box view
@@ -91,7 +106,7 @@ def project_feasible_dykstra(point, params):
         y = np.clip(shifted, 0.0, params.tau)
         box_corr = shifted - y
         shifted = y + ball_corr
-        x = oracle.project_feasible(shifted, ball)
+        x = project_feasible(shifted, ball)
         ball_corr = shifted - x
         gap = float(np.max(np.abs(y - x)))
         if (
